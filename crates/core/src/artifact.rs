@@ -38,9 +38,7 @@
 
 use darklight_activity::profile::{DailyActivityProfile, HOURS};
 use darklight_corpus::model::{Fact, FactKind};
-use darklight_features::pipeline::{
-    CountedDoc, FeatureConfig, FeatureExtractor, FeatureSpace, PreparedDoc,
-};
+use darklight_features::pipeline::{CountedDoc, FeatureConfig, FeatureSpace, PreparedDoc};
 use darklight_features::sparse::SparseVector;
 use darklight_features::vocab::Vocabulary;
 use darklight_store::codec::{Reader, Writer};
@@ -50,7 +48,7 @@ use darklight_text::lemma::Lemmatizer;
 use crate::batch::{hash_dataset, hash_feature_config};
 use crate::checkpoint::Fnv1a;
 use crate::dataset::{Dataset, Record};
-use crate::twostage::TwoStageConfig;
+use crate::twostage::{TwoStage, TwoStageConfig};
 
 /// Version of the artifact *schema* (what the sections mean), separate
 /// from the container *format* version (how bytes are framed).
@@ -75,21 +73,14 @@ pub struct FitArtifact {
 }
 
 impl FitArtifact {
-    /// Runs the stage-1 fit the artifact captures: fit the reduction
-    /// space on the known records (map-reduce over `threads` workers —
-    /// identical to a serial fit for every count) and vectorize them in
-    /// it. This is exactly what `TwoStage::reduce` computes before
-    /// ranking, so serving from the artifact reproduces its candidates
-    /// byte-for-byte.
+    /// Runs the stage-1 fit the artifact captures: exactly the fit
+    /// [`TwoStage::reduce`] performs before ranking (the reduction
+    /// space, vectorized skip-tolerantly), so serving from the artifact
+    /// reproduces its candidates byte-for-byte. The known dataset is
+    /// moved in, never copied.
     pub fn fit(config: &TwoStageConfig, known: Dataset) -> FitArtifact {
-        let threads = config.effective_threads();
-        let space = FeatureExtractor::new(config.reduction.clone())
-            .with_metrics(config.metrics.clone())
-            .with_threads(threads)
-            .fit_counted(known.records.iter().map(|r| &r.counted));
-        let known_vecs = darklight_par::par_map(&known.records, threads, |_, r| {
-            space.vectorize_counted(&r.counted, r.profile.as_ref())
-        });
+        let (space, known_vecs) =
+            TwoStage::new(config.clone()).fit_known(&known, &config.reduction);
         FitArtifact {
             known,
             space,
@@ -591,6 +582,58 @@ mod tests {
                 assert_eq!(ra.index, rb.index);
                 assert_eq!(ra.score.to_bits(), rb.score.to_bits());
             }
+        }
+    }
+
+    /// A one-alias query dataset written in `vocab`, posting `salt`
+    /// seconds off the known aliases' schedule.
+    fn probe(vocab: &str, salt: i64) -> Dataset {
+        let words: Vec<&str> = vocab.split(' ').collect();
+        let mut u = User::new("probe", None);
+        for i in 0..40i64 {
+            let ts = 1_486_375_200 + salt + (i / 5) * 7 * 86_400 + (i % 5) * 86_400;
+            let w1 = words[i as usize % words.len()];
+            let w2 = words[(i as usize + 1) % words.len()];
+            u.posts.push(Post::new(
+                format!("more {w1} talk today, the {w2} details took a while but the {w1} held up fine entry {i}"),
+                ts,
+            ));
+        }
+        let mut c = Corpus::new("query");
+        c.users.push(u);
+        DatasetBuilder::new().build(&c)
+    }
+
+    #[test]
+    fn one_alias_queries_match_the_batch_pipeline() {
+        // Fit once, query one alias at a time: the served stage-1 lookup
+        // plus stage-2 rescore equals a full refitting run, and the
+        // threshold picks the right alias or nothing.
+        let artifact = fitted();
+        let config = TwoStageConfig {
+            k: 2,
+            threads: 1,
+            threshold: 0.3,
+            ..TwoStageConfig::default()
+        };
+        let engine = TwoStage::new(config.clone());
+        let unreachable = TwoStage::new(TwoStageConfig {
+            threshold: 1.01,
+            ..config
+        });
+        for (vocab, alias) in [
+            ("gardening tulips compost seedling watering trowel", "alice"),
+            ("sourdough hydration crumb proofing levain ovens", "carol"),
+        ] {
+            let query = probe(vocab, 7_200);
+            let stage1 = engine.reduce_prefit(&artifact.space, &artifact.known_vecs, &query);
+            let served = engine.rescore(&artifact.known, &query, stage1);
+            assert_eq!(served, engine.run(&artifact.known, &query), "{alias}");
+            let links = engine.threshold_links(served.clone());
+            assert_eq!(links.len(), 1, "{alias}: no match above threshold");
+            assert_eq!(artifact.known.records[links[0].1].alias, alias);
+            assert!(links[0].2 > 0.3);
+            assert!(unreachable.threshold_links(served).is_empty());
         }
     }
 

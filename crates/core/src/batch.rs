@@ -8,15 +8,15 @@
 //! global threshold — within a few points of the unbatched pipeline.
 //!
 //! Long batched runs are exactly the ones that get killed mid-flight, so
-//! [`run_batched_checkpointed`] persists the survivor pools after every
-//! round (see [`crate::checkpoint`]) and resumes from the last completed
-//! round. Resumption is refused when the run fingerprint — config plus
+//! [`run_batched_governed`] with a [`CheckpointSpec`] persists the
+//! survivor pools after every round (see [`crate::checkpoint`]) and
+//! resumes from the last completed round. Resumption is refused when the run fingerprint — config plus
 //! dataset contents — does not match the checkpoint, because stale pools
 //! against a changed corpus would rank confidently and wrongly.
 //!
 //! ## Resource governance
 //!
-//! Both entry points delegate to [`run_batched_governed`], which reads
+//! [`run_batched`] delegates to [`run_batched_governed`], which reads
 //! the engine's [`darklight_govern::GovernConfig`] and supervises the
 //! round loop:
 //!
@@ -237,43 +237,28 @@ pub fn run_batched(
     run_batched_governed(engine, config, known, unknown, None)
 }
 
-/// [`run_batched`] with crash recovery: the survivor pools are persisted
-/// to `spec.path` after every round, and a valid checkpoint there is
-/// resumed instead of starting over. On success the checkpoint file is
-/// removed. Delegates to [`run_batched_governed`].
-///
-/// # Errors
-///
-/// Returns [`BatchError::InvalidConfig`] on a bad config;
-/// [`BatchError::Checkpoint`] when the checkpoint cannot be read or
-/// written, or when its fingerprint does not match this run (config or
-/// corpus changed — delete the file to start fresh);
-/// [`BatchError::Interrupted`] when the test-only interrupt hook fires;
-/// and [`BatchError::Govern`] when the engine's governor stops the run.
-pub fn run_batched_checkpointed(
-    engine: &TwoStage,
-    config: &BatchConfig,
-    known: &Dataset,
-    unknown: &Dataset,
-    spec: &CheckpointSpec,
-) -> Result<Vec<RankedMatch>, BatchError> {
-    run_batched_governed(engine, config, known, unknown, Some(spec))
-}
-
 /// The single batched driver: every entry point funnels here, so this is
 /// the one place that validates the config (a zero batch size from a
 /// deserialized config could otherwise re-enter a non-terminating round
 /// loop) and consults the engine's governor (see the module docs).
 ///
-/// `spec` enables crash recovery; checkpoint I/O goes through the
-/// governor's retry policy with backoff jitter seeded by the run
-/// fingerprint, so retried runs replay the same schedule.
+/// `spec` enables crash recovery: the survivor pools are persisted to
+/// `spec.path` after every round, a valid checkpoint there is resumed
+/// instead of starting over, and the file is removed on success.
+/// Checkpoint I/O goes through the governor's retry policy with backoff
+/// jitter seeded by the run fingerprint, so retried runs replay the same
+/// schedule.
 ///
 /// # Errors
 ///
-/// Everything [`run_batched_checkpointed`] documents, plus
-/// [`BatchError::Govern`] for budget infeasibility ([`BatchConfig::derive`]
-/// failures surface earlier, in the linker) and deadline expiry.
+/// [`BatchError::InvalidConfig`] on a bad config;
+/// [`BatchError::Checkpoint`] when the checkpoint cannot be read or
+/// written, or when its fingerprint does not match this run (config or
+/// corpus changed — delete the file to start fresh);
+/// [`BatchError::Interrupted`] when the test-only interrupt hook fires;
+/// and [`BatchError::Govern`] for budget infeasibility
+/// ([`BatchConfig::derive`] failures surface earlier, in the linker) and
+/// deadline expiry.
 pub fn run_batched_governed(
     engine: &TwoStage,
     config: &BatchConfig,
@@ -904,7 +889,7 @@ mod tests {
         let config = BatchConfig { batch_size: 4 };
         let plain = run_batched(&e, &config, &known, &unknown).unwrap();
         let spec = CheckpointSpec::new(ckpt_path("clean_run.json"));
-        let ck = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap();
+        let ck = run_batched_governed(&e, &config, &known, &unknown, Some(&spec)).unwrap();
         assert_eq!(plain, ck);
         assert!(!spec.path.exists(), "checkpoint removed on success");
     }
@@ -926,7 +911,7 @@ mod tests {
         let stale = spec.path.with_extension("tmp");
         std::fs::write(&stale, b"half-written garbage from a crashed save").unwrap();
         let plain = run_batched(&e, &config, &known, &unknown).unwrap();
-        let ck = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap();
+        let ck = run_batched_governed(&e, &config, &known, &unknown, Some(&spec)).unwrap();
         assert_eq!(plain, ck, "stale tmp must not perturb the run");
         assert!(!stale.exists(), "stale tmp file removed at startup");
         assert_eq!(metrics.counter("govern.tmp_cleaned").get(), 1);
@@ -944,14 +929,14 @@ mod tests {
         let mut spec = CheckpointSpec::new(ckpt_path("kill_resume.json"));
         checkpoint::remove(&spec.path);
         spec.interrupt_after_rounds = Some(1);
-        let err = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap_err();
+        let err = run_batched_governed(&e, &config, &known, &unknown, Some(&spec)).unwrap_err();
         assert!(
             matches!(err, BatchError::Interrupted { rounds_done: 1 }),
             "{err}"
         );
         assert!(spec.path.exists(), "checkpoint persisted at the kill point");
         spec.interrupt_after_rounds = None;
-        let resumed = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap();
+        let resumed = run_batched_governed(&e, &config, &known, &unknown, Some(&spec)).unwrap();
         assert_eq!(plain, resumed, "resumed output must be identical");
         assert!(!spec.path.exists());
     }
@@ -963,14 +948,24 @@ mod tests {
         let mut spec = CheckpointSpec::new(ckpt_path("mismatch.json"));
         checkpoint::remove(&spec.path);
         spec.interrupt_after_rounds = Some(1);
-        let _ =
-            run_batched_checkpointed(&e, &BatchConfig { batch_size: 4 }, &known, &unknown, &spec)
-                .unwrap_err();
+        let _ = run_batched_governed(
+            &e,
+            &BatchConfig { batch_size: 4 },
+            &known,
+            &unknown,
+            Some(&spec),
+        )
+        .unwrap_err();
         // Same checkpoint, different batch size: a different run.
         spec.interrupt_after_rounds = None;
-        let err =
-            run_batched_checkpointed(&e, &BatchConfig { batch_size: 5 }, &known, &unknown, &spec)
-                .unwrap_err();
+        let err = run_batched_governed(
+            &e,
+            &BatchConfig { batch_size: 5 },
+            &known,
+            &unknown,
+            Some(&spec),
+        )
+        .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1042,15 +1037,17 @@ mod tests {
     #[test]
     fn zero_batch_is_typed_through_every_entry_point() {
         // The governed driver is the single validation point, so a bad
-        // config must surface identically through each wrapper — and
-        // before any checkpoint I/O happens.
+        // config must surface identically with and without a checkpoint
+        // and through `run_batched` — and before any checkpoint I/O.
         let (known, unknown) = world();
         let bad = BatchConfig { batch_size: 0 };
         let spec = CheckpointSpec::new(ckpt_path("never_written.json"));
-        let err = run_batched_checkpointed(&engine(), &bad, &known, &unknown, &spec).unwrap_err();
+        let err = run_batched_governed(&engine(), &bad, &known, &unknown, Some(&spec)).unwrap_err();
         assert!(matches!(&err, BatchError::InvalidConfig(_)), "{err}");
         assert!(!spec.path.exists(), "validation precedes checkpoint I/O");
         let err = run_batched_governed(&engine(), &bad, &known, &unknown, None).unwrap_err();
+        assert!(matches!(&err, BatchError::InvalidConfig(_)), "{err}");
+        let err = run_batched(&engine(), &bad, &known, &unknown).unwrap_err();
         assert!(matches!(&err, BatchError::InvalidConfig(_)), "{err}");
     }
 
@@ -1144,7 +1141,8 @@ mod tests {
         });
         let spec = CheckpointSpec::new(ckpt_path("deadline_resume.json"));
         checkpoint::remove(&spec.path);
-        let err = run_batched_checkpointed(&strict, &config, &known, &unknown, &spec).unwrap_err();
+        let err =
+            run_batched_governed(&strict, &config, &known, &unknown, Some(&spec)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1157,7 +1155,7 @@ mod tests {
         // The governor never reaches the fingerprint, so a fresh engine
         // without a deadline resumes the same run to the same bytes.
         let resumed =
-            run_batched_checkpointed(&engine(), &config, &known, &unknown, &spec).unwrap();
+            run_batched_governed(&engine(), &config, &known, &unknown, Some(&spec)).unwrap();
         assert_eq!(plain, resumed, "resume after expiry must be lossless");
         assert!(!spec.path.exists());
     }

@@ -19,7 +19,11 @@
 //! **fingerprint** — an FNV-1a hash over the attribution configuration
 //! and both datasets' contents — and [`load`] callers refuse to resume
 //! when the fingerprint of the current run does not match (see
-//! `run_batched_checkpointed`).
+//! `run_batched_governed`).
+
+/// The fingerprint hasher, re-exported from `darklight-govern` where the
+/// workspace's one FNV-1a lives.
+pub use darklight_govern::Fnv1a;
 
 use darklight_govern::{fault, with_retry, RetryPolicy};
 use darklight_obs::{Json, PipelineMetrics};
@@ -85,50 +89,6 @@ impl std::error::Error for CheckpointError {
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> CheckpointError {
         CheckpointError::Io(e)
-    }
-}
-
-/// Incremental FNV-1a 64-bit hasher — stable across runs, platforms, and
-/// Rust versions (unlike `DefaultHasher`, whose algorithm is unspecified),
-/// which a fingerprint persisted to disk requires.
-#[derive(Debug, Clone)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a::new()
-    }
-}
-
-impl Fnv1a {
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Feeds raw bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    /// Feeds a string plus a separator so adjacent fields cannot collide
-    /// by concatenation (`"ab","c"` vs `"a","bc"`).
-    pub fn write_str(&mut self, s: &str) {
-        self.write(s.as_bytes());
-        self.write(&[0xff]);
-    }
-
-    /// Feeds an integer in a fixed-width encoding.
-    pub fn write_u64(&mut self, n: u64) {
-        self.write(&n.to_le_bytes());
-    }
-
-    /// The digest.
-    pub fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -358,22 +318,6 @@ mod tests {
         let err = load(&path).unwrap_err();
         assert!(err.to_string().contains("version 999"), "{err}");
         remove(&path);
-    }
-
-    #[test]
-    fn fnv1a_is_stable_and_separator_safe() {
-        let mut a = Fnv1a::new();
-        a.write_str("ab");
-        a.write_str("c");
-        let mut b = Fnv1a::new();
-        b.write_str("a");
-        b.write_str("bc");
-        assert_ne!(a.finish(), b.finish());
-        // Pinned digest: the fingerprint must be stable across builds, or
-        // every upgrade would invalidate on-disk checkpoints.
-        let mut h = Fnv1a::new();
-        h.write(b"darklight");
-        assert_eq!(h.finish(), 0xf350_767a_c37e_d7cf);
     }
 
     #[test]

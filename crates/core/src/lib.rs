@@ -39,7 +39,6 @@ pub mod confidence;
 pub mod dataset;
 pub mod explain;
 pub mod linker;
-pub mod session;
 pub mod twostage;
 
 pub use artifact::FitArtifact;
@@ -50,7 +49,6 @@ pub use confidence::MatchConfidence;
 pub use dataset::{Dataset, DatasetBuilder, Record};
 pub use explain::{explain_pair, MatchExplanation};
 pub use linker::{AliasMatch, Linker};
-pub use session::LinkSession;
 pub use twostage::{RankedMatch, TwoStage, TwoStageConfig};
 
 /// The paper's global similarity threshold (§IV-E).

@@ -124,135 +124,110 @@ impl Linker {
     }
 
     /// Runs the offline half of a fit-once/serve-many split: prepares
-    /// the known corpus exactly as [`link`](Linker::link) would (polish,
-    /// refine, build) and captures the stage-1 fit in a [`FitArtifact`]
-    /// ready to persist. Serving the artifact through
+    /// the known corpus exactly as [`try_link`](Linker::try_link) does
+    /// (polish, refine, build) and captures the stage-1 fit in a
+    /// [`FitArtifact`] ready to persist. Serving the artifact through
     /// [`link_with_artifact`](Linker::link_with_artifact) reproduces the
     /// fit-every-time output byte-for-byte.
     pub fn fit_artifact(&self, known: &Corpus) -> FitArtifact {
         let _fit = self.metrics.timer("linker.fit_artifact").start();
-        let known_ds = self.prepare(known);
-        FitArtifact::fit(&self.config.two_stage, known_ds)
+        FitArtifact::fit(&self.config.two_stage, self.prepare(known))
     }
 
     /// Links `unknown`'s aliases against a previously fitted artifact
     /// instead of refitting on a known corpus: prepares only the
-    /// unknown side, ranks it against the artifact's restored space and
-    /// vectors, and rescores stage 2 on the artifact's known records.
-    /// Output is byte-identical to [`link`](Linker::link) over the
-    /// corpus the artifact was fitted from (pinned by
-    /// `tests/artifact_parity.rs` at threads 1, 2, and 7).
+    /// unknown side and serves it through the same path unbatched
+    /// [`try_link`](Linker::try_link) takes after its own fit, so the
+    /// output is byte-identical to `try_link` over the corpus the
+    /// artifact was fitted from (pinned by `tests/artifact_parity.rs`
+    /// at threads 1, 2, and 7).
     ///
     /// Serving is always unbatched — batching exists to bound the
     /// *fit-side* working set, which the artifact has already paid.
     pub fn link_with_artifact(&self, artifact: &FitArtifact, unknown: &Corpus) -> Vec<AliasMatch> {
         let _link = self.metrics.timer("linker.link").start();
-        let unknown_ds = self.prepare(unknown);
-        if artifact.known.is_empty() || unknown_ds.is_empty() {
-            return Vec::new();
-        }
-        let engine = TwoStage::new(self.config.two_stage.clone());
-        let stage1 = engine.reduce_prefit(&artifact.space, &artifact.known_vecs, &unknown_ds);
-        let ranked = engine.rescore(&artifact.known, &unknown_ds, stage1);
-        engine
-            .threshold_links(ranked)
-            .into_iter()
-            .map(|(u, k, score)| AliasMatch {
-                known_alias: artifact.known.records[k].alias.clone(),
-                unknown_alias: unknown_ds.records[u].alias.clone(),
-                score,
-            })
-            .collect()
+        self.serve(artifact, &self.prepare(unknown))
     }
 
     /// Links `unknown`'s aliases to `known`'s: every emitted pair says
     /// "this unknown alias is the same person as this known alias".
     ///
-    /// Infallible convenience for the unbatched configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a batched configuration fails (invalid batch size,
-    /// checkpoint error) — use [`try_link`](Linker::try_link) to handle
-    /// those as values.
-    pub fn link(&self, known: &Corpus, unknown: &Corpus) -> Vec<AliasMatch> {
-        self.try_link(known, unknown)
-            .unwrap_or_else(|e| panic!("link failed: {e}"))
-    }
-
-    /// Links two prepared datasets (see [`link`](Linker::link) for the
-    /// panic contract).
-    pub fn link_datasets(&self, known: &Dataset, unknown: &Dataset) -> Vec<AliasMatch> {
-        self.try_link_datasets(known, unknown)
-            .unwrap_or_else(|e| panic!("link failed: {e}"))
-    }
-
-    /// [`link`](Linker::link) with typed errors: invalid batch configs
-    /// and checkpoint failures surface as [`BatchError`] instead of
-    /// panicking.
+    /// Unbatched, this fits a [`FitArtifact`] on the prepared known set
+    /// and serves the unknowns from it, exactly as
+    /// [`link_with_artifact`](Linker::link_with_artifact) would. An
+    /// explicit `batch`, or a governor memory budget alone, runs the
+    /// RAM-bounded batched driver instead.
     ///
     /// # Errors
     ///
-    /// See [`run_batched_checkpointed`]; unbatched runs cannot fail.
+    /// [`BatchError::InvalidConfig`] for an invalid batch size;
+    /// [`BatchError::Checkpoint`] when a configured checkpoint cannot be
+    /// read, written, or resumed; [`BatchError::Govern`] when a memory
+    /// budget is too small for even one candidate or a stage deadline
+    /// expires. Unbatched runs cannot fail.
     pub fn try_link(
         &self,
         known: &Corpus,
         unknown: &Corpus,
     ) -> Result<Vec<AliasMatch>, BatchError> {
-        let known_ds = self.prepare(known);
-        let unknown_ds = self.prepare(unknown);
-        self.try_link_datasets(&known_ds, &unknown_ds)
-    }
-
-    /// Links two prepared datasets with typed errors.
-    ///
-    /// # Errors
-    ///
-    /// See [`try_link`](Linker::try_link); additionally
-    /// [`BatchError::Govern`] when a memory budget is too small for even
-    /// one candidate, when the pressure ladder cannot satisfy it, or when
-    /// a stage deadline expires.
-    pub fn try_link_datasets(
-        &self,
-        known: &Dataset,
-        unknown: &Dataset,
-    ) -> Result<Vec<AliasMatch>, BatchError> {
         if let Some(batch) = &self.config.batch {
             batch.validate()?;
         }
+        let known_ds = self.prepare(known);
+        let unknown_ds = self.prepare(unknown);
         let _link = self.metrics.timer("linker.link").start();
-        if known.is_empty() || unknown.is_empty() {
+        if known_ds.is_empty() || unknown_ds.is_empty() {
             return Ok(Vec::new());
         }
-        let engine = TwoStage::new(self.config.two_stage.clone());
+        let two_stage = &self.config.two_stage;
         // An explicit batch size wins; a budget alone derives the largest
         // admissible size. With neither, the run is unbatched.
-        let batch = match (&self.config.batch, &self.config.two_stage.govern.budget) {
-            (Some(batch), _) => Some(batch.clone()),
-            (None, Some(budget)) => Some(BatchConfig::derive(budget, known, unknown)?),
-            (None, None) => None,
-        };
-        let pairs = match &batch {
-            None => engine.link(known, unknown),
-            Some(batch) => {
-                let spec = self
-                    .config
-                    .checkpoint
-                    .as_ref()
-                    .map(|path| CheckpointSpec::new(path.clone()));
-                let ranked = run_batched_governed(&engine, batch, known, unknown, spec.as_ref())?;
-                engine.threshold_links(ranked)
+        let batch = match (&self.config.batch, &two_stage.govern.budget) {
+            (Some(batch), _) => batch.clone(),
+            (None, Some(budget)) => BatchConfig::derive(budget, &known_ds, &unknown_ds)?,
+            (None, None) => {
+                let _total = two_stage.metrics.timer("twostage.total").start();
+                let artifact = FitArtifact::fit(two_stage, known_ds);
+                return Ok(self.serve(&artifact, &unknown_ds));
             }
         };
-        Ok(pairs
-            .into_iter()
-            .map(|(u, k, score)| AliasMatch {
-                known_alias: known.records[k].alias.clone(),
-                unknown_alias: unknown.records[u].alias.clone(),
-                score,
-            })
-            .collect())
+        let engine = TwoStage::new(two_stage.clone());
+        let spec = self.config.checkpoint.clone().map(CheckpointSpec::new);
+        let ranked = run_batched_governed(&engine, &batch, &known_ds, &unknown_ds, spec.as_ref())?;
+        Ok(alias_matches(
+            &known_ds,
+            &unknown_ds,
+            engine.threshold_links(ranked),
+        ))
     }
+
+    /// The one serving path: stage 1 against the artifact's fitted
+    /// space, stage 2 on its known records, then the threshold.
+    fn serve(&self, artifact: &FitArtifact, unknown: &Dataset) -> Vec<AliasMatch> {
+        if artifact.known.is_empty() || unknown.is_empty() {
+            return Vec::new();
+        }
+        let engine = TwoStage::new(self.config.two_stage.clone());
+        let stage1 = engine.reduce_prefit(&artifact.space, &artifact.known_vecs, unknown);
+        let ranked = engine.rescore(&artifact.known, unknown, stage1);
+        alias_matches(&artifact.known, unknown, engine.threshold_links(ranked))
+    }
+}
+
+/// Names the accepted `(unknown, known, score)` index pairs.
+fn alias_matches(
+    known: &Dataset,
+    unknown: &Dataset,
+    pairs: Vec<(usize, usize, f64)>,
+) -> Vec<AliasMatch> {
+    pairs
+        .into_iter()
+        .map(|(u, k, score)| AliasMatch {
+            known_alias: known.records[k].alias.clone(),
+            unknown_alias: unknown.records[u].alias.clone(),
+            score,
+        })
+        .collect()
 }
 
 impl Default for Linker {
@@ -316,7 +291,7 @@ mod tests {
         cfg.two_stage.threshold = 0.3;
         cfg.two_stage.threads = 2;
         let linker = Linker::new(cfg);
-        let matches = linker.link(&known, &unknown);
+        let matches = linker.try_link(&known, &unknown).unwrap();
         assert!(!matches.is_empty());
         for m in &matches {
             // forum_a_userX should match forum_b_userX.
@@ -335,7 +310,7 @@ mod tests {
         cfg.two_stage.k = 2;
         cfg.two_stage.threshold = 0.3;
         cfg.two_stage.threads = 2;
-        let plain = Linker::new(cfg.clone()).link(&known, &unknown);
+        let plain = Linker::new(cfg.clone()).try_link(&known, &unknown).unwrap();
         // A batch larger than the known set degenerates to a single round
         // over the full pool, so the outputs must agree exactly.
         cfg.batch = Some(BatchConfig { batch_size: 16 });
@@ -394,7 +369,7 @@ mod tests {
         cfg.two_stage.threshold = 0.3;
         cfg.two_stage.threads = 2;
         let linker = Linker::new(cfg);
-        let fresh = linker.link(&known, &unknown);
+        let fresh = linker.try_link(&known, &unknown).unwrap();
         let artifact = linker.fit_artifact(&known);
         let served = linker.link_with_artifact(&artifact, &unknown);
         assert_eq!(fresh.len(), served.len());
@@ -409,9 +384,9 @@ mod tests {
     fn empty_corpora_yield_no_matches() {
         let linker = Linker::default();
         let empty = Corpus::new("e");
-        assert!(linker.link(&empty, &empty).is_empty());
+        assert!(linker.try_link(&empty, &empty).unwrap().is_empty());
         let known = corpus("a", 0);
-        assert!(linker.link(&known, &empty).is_empty());
+        assert!(linker.try_link(&known, &empty).unwrap().is_empty());
     }
 
     #[test]

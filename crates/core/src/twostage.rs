@@ -7,9 +7,9 @@
 //! consequently the Tf-Idf weighting" — re-scores, and outputs the best
 //! pair when its score clears the threshold.
 
-use crate::attrib::{cmp_desc, top_k_of, CandidateIndex, Ranked};
+use crate::attrib::{cmp_desc, CandidateIndex, Ranked};
 use crate::dataset::Dataset;
-use darklight_features::pipeline::{FeatureConfig, FeatureExtractor};
+use darklight_features::pipeline::{FeatureConfig, FeatureExtractor, FeatureSpace};
 use darklight_features::sparse::SparseVector;
 use darklight_obs::PipelineMetrics;
 
@@ -136,45 +136,66 @@ impl TwoStage {
     /// only on the record, so degraded output stays thread-count
     /// deterministic.
     pub fn reduce(&self, known: &Dataset, unknown: &Dataset) -> Vec<Vec<Ranked>> {
-        let metrics = &self.config.metrics;
-        let _stage1 = metrics.timer("twostage.stage1").start();
-        let threads = self.config.observed_threads();
-        let space = FeatureExtractor::new(self.config.reduction.clone())
-            .with_metrics(metrics.clone())
-            .with_threads(threads)
-            .fit_counted(known.records.iter().map(|r| &r.counted));
-        let known_vecs =
-            self.vectorize_tolerant(&known.records, threads, &space, "twostage.vectorize_known");
-        let index = CandidateIndex::build_with_metrics(&known_vecs, space.dim(), metrics);
-        let queries = self.vectorize_tolerant(
-            &unknown.records,
-            threads,
-            &space,
-            "twostage.vectorize_query",
-        );
-        index.top_k_batch(&queries, self.config.k, threads)
+        let _stage1 = self.config.metrics.timer("twostage.stage1").start();
+        let (space, known_vecs) = self.fit_known(known, &self.config.reduction);
+        self.rank(&space, &known_vecs, unknown, self.config.k)
     }
 
     /// Stage 1 against an **already fitted** space: ranks every unknown
     /// against precomputed known vectors instead of refitting on the
-    /// known set. This is the serving path for a persisted fit artifact
-    /// (`darklight-core::artifact`): the space and the known vectors are
-    /// restored bit-exactly from disk, queries are vectorized in the
-    /// restored space, and the candidate lists come out byte-identical
-    /// to [`reduce`](Self::reduce) on the original known dataset.
+    /// known set. This is the serving path for a fit artifact
+    /// (`darklight-core::artifact`), whose space and known vectors come
+    /// from the same stage-1 fit `reduce` runs, so the candidate lists
+    /// are byte-identical to [`reduce`](Self::reduce) on the same known
+    /// dataset.
     pub fn reduce_prefit(
         &self,
-        space: &darklight_features::pipeline::FeatureSpace,
+        space: &FeatureSpace,
         known_vecs: &[SparseVector],
         unknown: &Dataset,
     ) -> Vec<Vec<Ranked>> {
+        let _stage1 = self.config.metrics.timer("twostage.stage1").start();
+        self.rank(space, known_vecs, unknown, self.config.k)
+    }
+
+    /// The stage-1 fit — the one place a feature space is fitted over a
+    /// known dataset: fits `features` on the known records (map-reduce
+    /// over the worker pool, identical to a serial fit for every thread
+    /// count) and vectorizes them in the fitted space, skip-tolerantly
+    /// (see [`reduce`](Self::reduce); fault site
+    /// `twostage.vectorize_known`).
+    pub(crate) fn fit_known(
+        &self,
+        known: &Dataset,
+        features: &FeatureConfig,
+    ) -> (FeatureSpace, Vec<SparseVector>) {
+        let threads = self.config.observed_threads();
+        let space = FeatureExtractor::new(features.clone())
+            .with_metrics(self.config.metrics.clone())
+            .with_threads(threads)
+            .fit_counted(known.records.iter().map(|r| &r.counted));
+        let known_vecs =
+            self.vectorize_tolerant(&known.records, threads, &space, "twostage.vectorize_known");
+        (space, known_vecs)
+    }
+
+    /// The stage-1 ranker: indexes the known vectors, vectorizes every
+    /// unknown in `space` (skip-tolerant, fault site
+    /// `twostage.vectorize_query`), and keeps the `depth` best
+    /// candidates per unknown.
+    fn rank(
+        &self,
+        space: &FeatureSpace,
+        known_vecs: &[SparseVector],
+        unknown: &Dataset,
+        depth: usize,
+    ) -> Vec<Vec<Ranked>> {
         let metrics = &self.config.metrics;
-        let _stage1 = metrics.timer("twostage.stage1").start();
         let threads = self.config.observed_threads();
         let index = CandidateIndex::build_with_metrics(known_vecs, space.dim(), metrics);
         let queries =
             self.vectorize_tolerant(&unknown.records, threads, space, "twostage.vectorize_query");
-        index.top_k_batch(&queries, self.config.k, threads)
+        index.top_k_batch(&queries, depth, threads)
     }
 
     /// Vectorizes `records` in parallel, degrading panicking records to
@@ -183,7 +204,7 @@ impl TwoStage {
         &self,
         records: &[crate::dataset::Record],
         threads: usize,
-        space: &darklight_features::pipeline::FeatureSpace,
+        space: &FeatureSpace,
         site: &str,
     ) -> Vec<SparseVector> {
         let metrics = &self.config.metrics;
@@ -314,22 +335,8 @@ impl TwoStage {
         unknown: &Dataset,
         depth: usize,
     ) -> Vec<RankedMatch> {
-        let metrics = &self.config.metrics;
-        let threads = self.config.observed_threads();
-        let space = FeatureExtractor::new(self.config.final_stage.clone())
-            .with_metrics(metrics.clone())
-            .with_threads(threads)
-            .fit_counted(known.records.iter().map(|r| &r.counted));
-        let known_vecs =
-            self.vectorize_tolerant(&known.records, threads, &space, "twostage.vectorize_known");
-        let index = CandidateIndex::build_with_metrics(&known_vecs, space.dim(), metrics);
-        let queries = self.vectorize_tolerant(
-            &unknown.records,
-            threads,
-            &space,
-            "twostage.vectorize_query",
-        );
-        let tops = index.top_k_batch(&queries, depth, threads);
+        let (space, known_vecs) = self.fit_known(known, &self.config.final_stage);
+        let tops = self.rank(&space, &known_vecs, unknown, depth);
         tops.into_iter()
             .enumerate()
             .map(|(u, ranked)| RankedMatch {
@@ -338,13 +345,6 @@ impl TwoStage {
                 stage2: ranked,
             })
             .collect()
-    }
-
-    /// Convenience: accepted pairs `(unknown, candidate, score)` at the
-    /// configured threshold.
-    pub fn link(&self, known: &Dataset, unknown: &Dataset) -> Vec<(usize, usize, f64)> {
-        let ranked = self.run(known, unknown);
-        self.threshold_links(ranked)
     }
 
     /// Applies the configured acceptance threshold to ranked matches
@@ -375,20 +375,6 @@ impl TwoStage {
             })
             .collect()
     }
-}
-
-/// Extension used by ablations: score a full similarity matrix without an
-/// index (small sets only).
-pub fn dense_scores(known: &[SparseVector], unknown: &[SparseVector]) -> Vec<Vec<f64>> {
-    unknown
-        .iter()
-        .map(|u| known.iter().map(|k| u.dot(k)).collect())
-        .collect()
-}
-
-/// Ranks a dense score row; see [`top_k_of`].
-pub fn rank_row(scores: &[f64], k: usize) -> Vec<Ranked> {
-    top_k_of(scores, k)
 }
 
 #[cfg(test)]
@@ -510,9 +496,13 @@ mod tests {
         let (known, unknown) = world();
         let mut cfg = config();
         cfg.threshold = 1.1; // impossible
-        assert!(TwoStage::new(cfg.clone()).link(&known, &unknown).is_empty());
+        let link = |cfg: TwoStageConfig| {
+            let engine = TwoStage::new(cfg);
+            engine.threshold_links(engine.run(&known, &unknown))
+        };
+        assert!(link(cfg.clone()).is_empty());
         cfg.threshold = 0.0;
-        let links = TwoStage::new(cfg).link(&known, &unknown);
+        let links = link(cfg);
         assert_eq!(links.len(), unknown.len());
     }
 

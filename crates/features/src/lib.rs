@@ -30,14 +30,12 @@
 #![warn(missing_docs)]
 
 pub mod charfreq;
-pub mod hashing;
 pub mod ngram;
 pub mod pipeline;
 pub mod sparse;
 pub mod tfidf;
 pub mod vocab;
 
-pub use hashing::HashingVectorizer;
 pub use pipeline::{CountedDoc, FeatureConfig, FeatureExtractor, FeatureSpace, PreparedDoc};
 pub use sparse::SparseVector;
 pub use tfidf::TfIdf;

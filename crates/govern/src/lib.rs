@@ -17,6 +17,8 @@
 //! - [`RetryPolicy`] / [`with_retry`] — jittered exponential backoff
 //!   around checkpoint and corpus I/O, with jitter derived purely from
 //!   the run fingerprint so retried runs stay deterministic.
+//! - [`Fnv1a`] — the stable FNV-1a hasher behind retry seeds and every
+//!   persisted fingerprint (checkpoints, fit artifacts).
 //! - [`fault`] — a `DARKLIGHT_FAULT_IO=site:count` injection hook
 //!   mirroring `DARKLIGHT_FAULT_PANICS`, so every retry path has a
 //!   deterministic regression test.
@@ -31,10 +33,12 @@
 mod budget;
 mod deadline;
 pub mod fault;
+mod fnv;
 mod retry;
 
 pub use budget::{EstimateBytes, MemoryBudget, MEM_BUDGET_ENV};
 pub use deadline::{parse_duration, Deadline, Expired};
+pub use fnv::Fnv1a;
 pub use retry::{seed_from, with_retry, RetryPolicy};
 
 use std::fmt;

@@ -13,6 +13,7 @@
 //! the seed, which keeps the whole failure model reproducible and the
 //! `no-ambient-time-or-rand` audit rule intact.
 
+use crate::Fnv1a;
 use darklight_obs::PipelineMetrics;
 use std::time::Duration;
 
@@ -64,7 +65,7 @@ impl RetryPolicy {
             .base_delay_ms
             .saturating_mul(1u64 << attempt.min(20))
             .min(self.max_delay_ms.max(self.base_delay_ms));
-        let jitter = splitmix64(seed ^ fnv64(site.as_bytes()) ^ u64::from(attempt));
+        let jitter = splitmix64(seed ^ seed_from(site.as_bytes()) ^ u64::from(attempt));
         // Map the mix onto [exp/2, exp]: full-range jitter desynchronizes
         // concurrent retries without ever collapsing the wait to zero.
         let half = exp / 2;
@@ -76,17 +77,9 @@ impl RetryPolicy {
 /// Call sites without a run fingerprint — e.g. corpus reads keyed only
 /// by path — use this so their jitter schedule is still reproducible.
 pub fn seed_from(bytes: &[u8]) -> u64 {
-    fnv64(bytes)
-}
-
-/// FNV-1a over `bytes`; used only to fold the site name into the seed.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.write(bytes);
+    h.finish()
 }
 
 /// SplitMix64 finalizer — a tiny, well-mixed pure function of its input.
@@ -248,5 +241,21 @@ mod tests {
         let d = p.delay("s", 1, 0);
         assert!(d >= Duration::from_millis(5) && d <= Duration::from_millis(10));
         assert_eq!(RetryPolicy::none().delay("s", 1, 0), Duration::ZERO);
+    }
+
+    #[test]
+    fn jitter_schedule_is_pinned() {
+        // A changed schedule would make retried runs sleep differently
+        // across versions; the seed is the plain FNV-1a digest.
+        assert_eq!(seed_from(b"darklight"), 0xf350_767a_c37e_d7cf);
+        let p = RetryPolicy::default();
+        let ms = |site: &str, seed: u64| -> Vec<u128> {
+            (0..6).map(|a| p.delay(site, seed, a).as_millis()).collect()
+        };
+        assert_eq!(
+            ms("checkpoint.save", 0xdead_beef),
+            [5, 16, 21, 54, 112, 178]
+        );
+        assert_eq!(ms("corpus.read", 7), [6, 16, 25, 46, 157, 133]);
     }
 }

@@ -4,9 +4,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use darklight::core::batch::BatchError;
 use darklight::prelude::*;
 
-fn main() {
+fn main() -> Result<(), BatchError> {
     // Build two toy forums. The same person ("persona 1") posts on both
     // under different aliases, with a persistent style and schedule; a
     // decoy persona posts only on forum B.
@@ -62,7 +63,7 @@ fn main() {
     let mut config = LinkerConfig::default();
     config.two_stage.threshold = 0.5;
     let linker = Linker::new(config);
-    let matches = linker.link(&forum_a, &forum_b);
+    let matches = linker.try_link(&forum_a, &forum_b)?;
 
     println!("emitted {} match(es):", matches.len());
     for m in &matches {
@@ -78,4 +79,5 @@ fn main() {
         .iter()
         .any(|m| m.known_alias == "torque_monkey" && m.unknown_alias == "petrol_head"));
     println!("\nboth personas' alias pairs were linked, and never crossed.");
+    Ok(())
 }

@@ -86,7 +86,7 @@
 use darklight::activity::profile::{ProfileBuilder, ProfilePolicy};
 use darklight::core::artifact::FitArtifact;
 use darklight::core::batch::{BatchConfig, BatchError};
-use darklight::core::linker::{Linker, LinkerConfig};
+use darklight::core::linker::{AliasMatch, Linker, LinkerConfig};
 use darklight::corpus::io::{load_corpus, load_corpus_lenient, save_corpus, LenientConfig};
 use darklight::corpus::model::Corpus;
 use darklight::corpus::polish::{PolishConfig, Polisher};
@@ -329,46 +329,82 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_fit(args: &[String]) -> Result<(), CliError> {
-    let known_path = positional(args, 0)?;
-    let out_dir = flag_value(args, "--out")
-        .ok_or_else(|| usage(format!("fit requires --out <artifact-dir>\n{USAGE}")))?;
-    let lenient = lenient_mode(args)?;
-    let metrics_path = flag_value(args, "--metrics");
-    let metrics = if metrics_path.is_some() {
+/// `--metrics <path>`: the snapshot path, plus a handle that records
+/// only when a path was given.
+fn metrics_flag(args: &[String]) -> (Option<&str>, PipelineMetrics) {
+    let path = flag_value(args, "--metrics");
+    let metrics = if path.is_some() {
         PipelineMetrics::enabled()
     } else {
         PipelineMetrics::disabled()
     };
+    (path, metrics)
+}
+
+/// The engine flags shared by `fit` and `link`: `--threads`, plus
+/// `--threshold` and `--k` when `scoring` (fit ranks nothing, so it
+/// takes neither).
+fn linker_config(args: &[String], scoring: bool) -> Result<LinkerConfig, CliError> {
     let mut config = LinkerConfig::default();
+    if scoring {
+        if let Some(t) = flag_value(args, "--threshold") {
+            config.two_stage.threshold = t
+                .parse()
+                .map_err(|_| usage("--threshold must be a float"))?;
+        }
+        if let Some(k) = flag_value(args, "--k") {
+            config.two_stage.k = k.parse().map_err(|_| usage("--k must be an integer"))?;
+        }
+    }
     if let Some(t) = flag_value(args, "--threads") {
         config.two_stage.threads = t
             .parse()
             .map_err(|_| usage("--threads must be an integer (0 = auto)"))?;
     }
+    Ok(config)
+}
+
+/// Prints the match table (stdout) and the pair count (stderr).
+fn print_matches(matches: &[AliasMatch]) {
+    println!("unknown_alias\tknown_alias\tscore");
+    for m in matches {
+        println!("{}\t{}\t{:.4}", m.unknown_alias, m.known_alias, m.score);
+    }
+    eprintln!("{} pair(s) emitted", matches.len());
+}
+
+/// Writes the metrics snapshot when `--metrics` named a path.
+fn write_metrics(path: Option<&str>, metrics: &PipelineMetrics) -> Result<(), CliError> {
+    if let Some(path) = path {
+        std::fs::write(path, metrics.to_json_pretty()).map_err(data)?;
+        eprintln!("pipeline metrics written to {path}");
+    }
+    Ok(())
+}
+
+fn cmd_fit(args: &[String]) -> Result<(), CliError> {
+    let known_path = positional(args, 0)?;
+    let out_dir = flag_value(args, "--out")
+        .ok_or_else(|| usage(format!("fit requires --out <artifact-dir>\n{USAGE}")))?;
+    let lenient = lenient_mode(args)?;
+    let (metrics_path, metrics) = metrics_flag(args);
+    let config = linker_config(args, false)?;
     let known = load_corpus_cli(known_path, lenient, &metrics)?;
     eprintln!(
         "fitting {} known aliases (threads={})...",
         known.len(),
         config.two_stage.effective_threads(),
     );
-    let mut linker = Linker::new(config);
-    if metrics_path.is_some() {
-        linker = linker.with_metrics(metrics.clone());
-    }
+    let linker = Linker::new(config).with_metrics(metrics.clone());
     let artifact = linker.fit_artifact(&known);
-    let store = EpochStore::new(out_dir).with_metrics(metrics);
+    let store = EpochStore::new(out_dir).with_metrics(metrics.clone());
     let epoch = artifact.save(&store).map_err(data)?;
     eprintln!(
         "fitted {} alias(es) -> {} (epoch {epoch})",
         artifact.known.len(),
         out_dir,
     );
-    if let Some(path) = metrics_path {
-        std::fs::write(path, linker.metrics().to_json_pretty()).map_err(data)?;
-        eprintln!("pipeline metrics written to {path}");
-    }
-    Ok(())
+    write_metrics(metrics_path, &metrics)
 }
 
 /// Serving half of the fit-once split: `link --artifact <dir> <unknown>`.
@@ -384,26 +420,8 @@ fn cmd_link_artifact(args: &[String], artifact_dir: &str) -> Result<(), CliError
     }
     let unknown_path = positional(args, 0)?;
     let lenient = lenient_mode(args)?;
-    let metrics_path = flag_value(args, "--metrics");
-    let metrics = if metrics_path.is_some() {
-        PipelineMetrics::enabled()
-    } else {
-        PipelineMetrics::disabled()
-    };
-    let mut config = LinkerConfig::default();
-    if let Some(t) = flag_value(args, "--threshold") {
-        config.two_stage.threshold = t
-            .parse()
-            .map_err(|_| usage("--threshold must be a float"))?;
-    }
-    if let Some(k) = flag_value(args, "--k") {
-        config.two_stage.k = k.parse().map_err(|_| usage("--k must be an integer"))?;
-    }
-    if let Some(t) = flag_value(args, "--threads") {
-        config.two_stage.threads = t
-            .parse()
-            .map_err(|_| usage("--threads must be an integer (0 = auto)"))?;
-    }
+    let (metrics_path, metrics) = metrics_flag(args);
+    let config = linker_config(args, true)?;
     let threads = config.two_stage.effective_threads();
     let store = EpochStore::new(artifact_dir).with_metrics(metrics.clone());
     let (artifact, epoch) = FitArtifact::load(&store, threads).map_err(data)?;
@@ -417,21 +435,9 @@ fn cmd_link_artifact(args: &[String], artifact_dir: &str) -> Result<(), CliError
         config.two_stage.k,
         config.two_stage.threshold,
     );
-    let mut linker = Linker::new(config);
-    if metrics_path.is_some() {
-        linker = linker.with_metrics(metrics);
-    }
-    let matches = linker.link_with_artifact(&artifact, &unknown);
-    println!("unknown_alias\tknown_alias\tscore");
-    for m in &matches {
-        println!("{}\t{}\t{:.4}", m.unknown_alias, m.known_alias, m.score);
-    }
-    eprintln!("{} pair(s) emitted", matches.len());
-    if let Some(path) = metrics_path {
-        std::fs::write(path, linker.metrics().to_json_pretty()).map_err(data)?;
-        eprintln!("pipeline metrics written to {path}");
-    }
-    Ok(())
+    let linker = Linker::new(config).with_metrics(metrics.clone());
+    print_matches(&linker.link_with_artifact(&artifact, &unknown));
+    write_metrics(metrics_path, &metrics)
 }
 
 fn cmd_link(args: &[String]) -> Result<(), CliError> {
@@ -442,26 +448,8 @@ fn cmd_link(args: &[String]) -> Result<(), CliError> {
     let known_path = positional(args, 0)?;
     let unknown_path = positional(args, 1)?;
     let lenient = lenient_mode(args)?;
-    let metrics_path = flag_value(args, "--metrics");
-    let metrics = if metrics_path.is_some() {
-        PipelineMetrics::enabled()
-    } else {
-        PipelineMetrics::disabled()
-    };
-    let mut config = LinkerConfig::default();
-    if let Some(t) = flag_value(args, "--threshold") {
-        config.two_stage.threshold = t
-            .parse()
-            .map_err(|_| usage("--threshold must be a float"))?;
-    }
-    if let Some(k) = flag_value(args, "--k") {
-        config.two_stage.k = k.parse().map_err(|_| usage("--k must be an integer"))?;
-    }
-    if let Some(t) = flag_value(args, "--threads") {
-        config.two_stage.threads = t
-            .parse()
-            .map_err(|_| usage("--threads must be an integer (0 = auto)"))?;
-    }
+    let (metrics_path, metrics) = metrics_flag(args);
+    let mut config = linker_config(args, true)?;
     if let Some(b) = flag_value(args, "--batch-size") {
         let batch_size = b
             .parse()
@@ -515,24 +503,13 @@ fn cmd_link(args: &[String]) -> Result<(), CliError> {
         config.two_stage.threshold,
         config.two_stage.effective_threads(),
     );
-    let mut linker = Linker::new(config);
-    if metrics_path.is_some() {
-        linker = linker.with_metrics(metrics);
-    }
+    let linker = Linker::new(config).with_metrics(metrics.clone());
     let matches = linker.try_link(&known, &unknown).map_err(|e| match e {
         BatchError::InvalidConfig(_) => usage(e),
         other => data(other),
     })?;
-    println!("unknown_alias\tknown_alias\tscore");
-    for m in &matches {
-        println!("{}\t{}\t{:.4}", m.unknown_alias, m.known_alias, m.score);
-    }
-    eprintln!("{} pair(s) emitted", matches.len());
-    if let Some(path) = metrics_path {
-        std::fs::write(path, linker.metrics().to_json_pretty()).map_err(data)?;
-        eprintln!("pipeline metrics written to {path}");
-    }
-    Ok(())
+    print_matches(&matches);
+    write_metrics(metrics_path, &metrics)
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), CliError> {

@@ -58,9 +58,10 @@
 //!
 //! let mut config = LinkerConfig::default();
 //! config.two_stage.threshold = 0.5;
-//! let matches = Linker::new(config).link(&forum_a, &forum_b);
+//! let matches = Linker::new(config).try_link(&forum_a, &forum_b)?;
 //! assert_eq!(matches[0].known_alias, "night_gardener");
 //! assert_eq!(matches[0].unknown_alias, "moss_witch");
+//! # Ok::<(), darklight::core::batch::BatchError>(())
 //! ```
 
 #![forbid(unsafe_code)]

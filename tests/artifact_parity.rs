@@ -1,6 +1,6 @@
 //! Byte-parity contract of the durable fit artifact (DESIGN.md §14):
 //! serving a persisted `FitArtifact` through `link_with_artifact` must
-//! reproduce the fit-every-time `Linker::link` output bit-for-bit, at
+//! reproduce the fit-every-time `Linker::try_link` output bit-for-bit, at
 //! every thread count, whether the artifact came straight from `fit` or
 //! round-tripped through the on-disk epoch store. Fitting itself must be
 //! thread-invariant, so the *serialized* artifact is byte-identical no
@@ -99,7 +99,7 @@ fn served_artifact_matches_fresh_link_at_every_thread_count() {
     let dir = store_dir("serve");
     // Fit and persist once, single-threaded.
     let fit_linker = Linker::new(config(1));
-    let baseline = fit_linker.link(&known, &unknown);
+    let baseline = fit_linker.try_link(&known, &unknown).unwrap();
     assert!(!baseline.is_empty(), "scenario must produce links");
     let store = EpochStore::new(dir.clone());
     fit_linker.fit_artifact(&known).save(&store).unwrap();

@@ -14,9 +14,10 @@
 //! every thread count. The thread-parity assertions below pin that.
 
 use darklight::core::batch::{
-    run_batched, run_batched_checkpointed, BatchConfig, BatchError, CheckpointSpec,
+    run_batched, run_batched_governed, BatchConfig, BatchError, CheckpointSpec,
 };
 use darklight::core::dataset::{Dataset, DatasetBuilder};
+use darklight::core::linker::{Linker, LinkerConfig};
 use darklight::core::twostage::{TwoStage, TwoStageConfig};
 use darklight::corpus::io::{read_corpus_lenient, IssueKind, LenientConfig};
 use darklight::corpus::model::{Corpus, Post, User};
@@ -193,15 +194,71 @@ fn kill_and_resume_is_byte_identical_across_thread_counts() {
         let uninterrupted = run_batched(&e, &config, &known, &unknown).unwrap();
         let mut spec = CheckpointSpec::new(ckpt_path(&format!("resume_t{threads}.json")));
         spec.interrupt_after_rounds = Some(1);
-        let err = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap_err();
+        let err = run_batched_governed(&e, &config, &known, &unknown, Some(&spec)).unwrap_err();
         assert!(matches!(err, BatchError::Interrupted { .. }), "{err}");
         assert!(spec.path.exists());
         spec.interrupt_after_rounds = None;
-        let resumed = run_batched_checkpointed(&e, &config, &known, &unknown, &spec).unwrap();
+        let resumed = run_batched_governed(&e, &config, &known, &unknown, Some(&spec)).unwrap();
         assert_eq!(
             uninterrupted, resumed,
             "kill-and-resume diverged at {threads} thread(s)"
         );
         assert!(!spec.path.exists(), "checkpoint not cleaned up");
     }
+}
+
+/// A raw forum for the full linker: four users with distinct vocabulary
+/// and enough unique posts to survive polishing and refinement; user N
+/// of every forum is persona N.
+fn forum(name: &str, salt: i64) -> Corpus {
+    let vocabs = [
+        ["harpsichord", "madrigal", "counterpoint", "basso"],
+        ["terrarium", "isopods", "springtails", "bioactive"],
+        ["leatherwork", "awl", "burnishing", "saddle"],
+        ["homebrew", "fermenter", "sparge", "lauter"],
+    ];
+    let mut c = Corpus::new(name);
+    for (pid, vocab) in vocabs.iter().enumerate() {
+        let mut u = User::new(format!("{name}_user{pid}"), Some(pid as u64));
+        for i in 0..70i64 {
+            let ts =
+                1_486_375_200 + (i / 5) * 7 * 86_400 + (i % 5) * 86_400 + pid as i64 * 7_200 + salt;
+            let (w1, w2) = (vocab[i as usize % 4], vocab[(i as usize + 1) % 4]);
+            let ma = char::from(b'a' + (i % 26) as u8);
+            let mb = char::from(b'a' + ((i / 26) % 26) as u8);
+            u.posts.push(Post::new(
+                format!(
+                    "today the {w1} project moved forward again and i compared several {w2} \
+                     methods with friends near batch {ma}{mb} before writing longer notes \
+                     about {w1} techniques and the tools involved"
+                ),
+                ts,
+            ));
+        }
+        c.users.push(u);
+    }
+    c
+}
+
+#[test]
+fn fit_once_serving_degrades_exactly_like_fit_every_time() {
+    init_faults();
+    let (known, unknown) = (forum("forum_a", 0), forum("forum_b", 1800));
+    let mut config = LinkerConfig::default();
+    config.two_stage.k = 2;
+    config.two_stage.threshold = 0.3;
+    config.two_stage.threads = 2;
+    let linker = Linker::new(config);
+    // The artifact's fit is the stage-1 fit, so the injected
+    // `twostage.vectorize_known:1` panic zeroes known vector 1 there too...
+    let artifact = linker.fit_artifact(&known);
+    assert_eq!(
+        artifact.known_vecs[1].nnz(),
+        0,
+        "the fit-once path skipped the vectorize_known fault site"
+    );
+    // ...and serving it answers exactly as the fit-every-time link.
+    let fresh = linker.try_link(&known, &unknown).unwrap();
+    assert!(!fresh.is_empty(), "scenario must produce links to compare");
+    assert_eq!(linker.link_with_artifact(&artifact, &unknown), fresh);
 }

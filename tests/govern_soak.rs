@@ -11,7 +11,7 @@
 //! all governor soak assertions in this one file.
 
 use darklight::core::batch::{
-    budget_overhead_bytes, budget_per_candidate_bytes, run_batched_checkpointed, BatchConfig,
+    budget_overhead_bytes, budget_per_candidate_bytes, run_batched_governed, BatchConfig,
     CheckpointSpec,
 };
 use darklight::core::dataset::{Dataset, DatasetBuilder};
@@ -109,12 +109,12 @@ fn governed_soak_completes_under_faults_and_tiny_budget() {
     let config = BatchConfig { batch_size: 8 };
     let metrics = PipelineMetrics::enabled();
     let spec = CheckpointSpec::new(ckpt_path("soak.json"));
-    let results = run_batched_checkpointed(
+    let results = run_batched_governed(
         &governed_engine(budget, metrics.clone()),
         &config,
         &known,
         &unknown,
-        &spec,
+        Some(&spec),
     )
     .unwrap();
     assert_eq!(results.len(), unknown.len());
@@ -138,12 +138,12 @@ fn governed_soak_completes_under_faults_and_tiny_budget() {
     assert!(metrics.counter("batch.rounds").get() >= 2);
     // A second identical run (faults now exhausted) must produce the
     // exact same rankings: retries and panics never change output bytes.
-    let again = run_batched_checkpointed(
+    let again = run_batched_governed(
         &governed_engine(budget, PipelineMetrics::enabled()),
         &config,
         &known,
         &unknown,
-        &spec,
+        Some(&spec),
     )
     .unwrap();
     assert_eq!(results, again, "faulted and clean runs diverged");

@@ -70,8 +70,8 @@ fn two_stage_results_identical_with_metrics_enabled() {
         noisy.run(&known_ds, &unknown_ds)
     );
     assert_eq!(
-        quiet.link(&known_ds, &unknown_ds),
-        noisy.link(&known_ds, &unknown_ds)
+        quiet.threshold_links(quiet.run(&known_ds, &unknown_ds)),
+        noisy.threshold_links(noisy.run(&known_ds, &unknown_ds))
     );
 }
 
@@ -81,8 +81,8 @@ fn linker_results_identical_with_metrics_enabled() {
     let unknown = corpus("forum_b", 1800);
     let quiet = Linker::new(linker_config());
     let noisy = Linker::new(linker_config()).with_metrics(PipelineMetrics::enabled());
-    let a = quiet.link(&known, &unknown);
-    let b = noisy.link(&known, &unknown);
+    let a = quiet.try_link(&known, &unknown).unwrap();
+    let b = noisy.try_link(&known, &unknown).unwrap();
     assert!(!a.is_empty(), "scenario must produce links to compare");
     assert_eq!(a, b);
     // And the instrumented run really did record something.
@@ -97,7 +97,7 @@ fn snapshot_schema_is_pinned() {
     let known = corpus("forum_a", 0);
     let unknown = corpus("forum_b", 1800);
     let linker = Linker::new(linker_config()).with_metrics(PipelineMetrics::enabled());
-    let _ = linker.link(&known, &unknown);
+    let _ = linker.try_link(&known, &unknown).unwrap();
     let snapshot = linker.metrics().snapshot();
 
     assert_eq!(

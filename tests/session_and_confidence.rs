@@ -1,9 +1,10 @@
-//! Integration: the investigator-facing APIs — persistent link sessions,
-//! confidence margins, and match explanations — on a full synthetic world.
+//! Integration: the investigator-facing APIs — single-alias queries
+//! against a fitted artifact, confidence margins, and match
+//! explanations — on a full synthetic world.
 
+use darklight::core::artifact::FitArtifact;
 use darklight::core::confidence::MatchConfidence;
 use darklight::core::explain::explain_pair;
-use darklight::core::session::LinkSession;
 use darklight::prelude::*;
 use darklight_bench::{prepare_world, World};
 use std::sync::OnceLock;
@@ -22,17 +23,27 @@ fn config() -> TwoStageConfig {
 
 #[test]
 fn session_queries_agree_with_batch_runs() {
+    // Fit once, then query one alias at a time: each single-record
+    // stage-1 lookup and stage-2 rescore must equal that alias's slot
+    // of the all-at-once run.
     let w = world();
-    let known = w.tmg.originals.clone();
-    let session = LinkSession::new(config(), known.clone());
+    let unknown = &w.dm.originals;
+    let artifact = FitArtifact::fit(&config(), w.tmg.originals.clone());
     let engine = TwoStage::new(config());
-    let batch = engine.run(&known, &w.dm.originals);
-    for (u, record) in w.dm.originals.records.iter().enumerate().take(8) {
-        let single = session.query_record(record);
+    let batch = engine.run(&w.tmg.originals, unknown);
+    let (max_word_n, max_char_n) = unknown.ngram_orders();
+    for (u, record) in unknown.records.iter().enumerate().take(8) {
+        let one = Dataset::with_orders("query", vec![record.clone()], max_word_n, max_char_n);
+        let stage1 = engine.reduce_prefit(&artifact.space, &artifact.known_vecs, &one);
+        let single = engine.rescore(&artifact.known, &one, stage1).remove(0);
         assert_eq!(
-            batch[u].best().map(|r| r.index),
-            single.best().map(|r| r.index),
-            "disagreement on {}",
+            batch[u].stage1, single.stage1,
+            "stage 1 of {}",
+            record.alias
+        );
+        assert_eq!(
+            batch[u].stage2, single.stage2,
+            "stage 2 of {}",
             record.alias
         );
     }

@@ -5,10 +5,10 @@
 //! shard partition cannot change the selected terms), and per-unknown
 //! work never depends on scheduling — these tests pin all of that
 //! end-to-end for reduce, rescore, the batched driver, and the full
-//! `Linker::link` flow.
+//! `Linker::try_link` flow.
 
 use darklight::core::batch::{
-    budget_overhead_bytes, budget_per_candidate_bytes, run_batched, run_batched_checkpointed,
+    budget_overhead_bytes, budget_per_candidate_bytes, run_batched, run_batched_governed,
     BatchConfig, BatchError, CheckpointSpec,
 };
 use darklight::core::dataset::{Dataset, DatasetBuilder};
@@ -108,12 +108,13 @@ fn rescore_identical_across_thread_counts() {
 fn run_and_link_identical_across_thread_counts() {
     let (known, unknown) = datasets();
     let run1 = engine(1).run(&known, &unknown);
-    let link1 = engine(1).link(&known, &unknown);
+    let link1 = engine(1).threshold_links(run1.clone());
     assert!(!link1.is_empty(), "scenario must produce links to compare");
     for threads in THREAD_COUNTS {
         let e = engine(threads);
-        assert_eq!(e.run(&known, &unknown), run1, "{threads} threads");
-        assert_eq!(e.link(&known, &unknown), link1, "{threads} threads");
+        let run = e.run(&known, &unknown);
+        assert_eq!(run, run1, "{threads} threads");
+        assert_eq!(e.threshold_links(run), link1, "{threads} threads");
     }
 }
 
@@ -215,7 +216,7 @@ fn deadline_expiry_and_resume_identical_across_threads() {
         // round boundary — identically at every thread count, because
         // workers only ever observe the already-tripped flag.
         let strict = engine_with(threads, Deadline::after_rounds(1));
-        let err = run_batched_checkpointed(&strict, &batch, &known, &unknown, &spec).unwrap_err();
+        let err = run_batched_governed(&strict, &batch, &known, &unknown, Some(&spec)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -225,7 +226,8 @@ fn deadline_expiry_and_resume_identical_across_threads() {
         );
         assert!(path.exists(), "expiry must leave a checkpoint behind");
         let relaxed = engine_with(threads, Deadline::none());
-        let resumed = run_batched_checkpointed(&relaxed, &batch, &known, &unknown, &spec).unwrap();
+        let resumed =
+            run_batched_governed(&relaxed, &batch, &known, &unknown, Some(&spec)).unwrap();
         assert_eq!(
             resumed, baseline,
             "deadline + resume diverged at {threads} threads"
@@ -245,16 +247,18 @@ fn full_linker_identical_across_thread_counts() {
         cfg.two_stage.threads = threads;
         cfg
     };
-    let baseline = Linker::new(config(1)).link(&known, &unknown);
+    let baseline = Linker::new(config(1)).try_link(&known, &unknown).unwrap();
     assert!(
         !baseline.is_empty(),
         "scenario must produce links to compare"
     );
     for threads in THREAD_COUNTS {
         assert_eq!(
-            Linker::new(config(threads)).link(&known, &unknown),
+            Linker::new(config(threads))
+                .try_link(&known, &unknown)
+                .unwrap(),
             baseline,
-            "Linker::link diverged at {threads} threads"
+            "Linker::try_link diverged at {threads} threads"
         );
     }
 }
