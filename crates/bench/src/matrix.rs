@@ -99,8 +99,10 @@ pub fn prepare_cell(spec: &CellSpec) -> PreparedCell {
     }
 }
 
-/// Runs one cell end to end and renders its report. The error case is an
-/// infeasible explicit memory budget.
+/// Runs one cell end to end and renders its report. The error cases are
+/// an infeasible explicit memory budget and a parallel run whose
+/// rankings differ from the serial run's (a thread-count parity
+/// violation).
 pub fn run_cell(spec: &CellSpec, opts: &CellOptions) -> Result<Json, String> {
     let metrics = PipelineMetrics::enabled();
     let t_prep = Instant::now();
@@ -166,7 +168,13 @@ pub fn run_cell(spec: &CellSpec, opts: &CellOptions) -> Result<Json, String> {
     metrics
         .timer("bench.link_parallel")
         .record_ns(t_par.elapsed().as_nanos() as u64);
-    debug_assert_eq!(serial_ranked, ranked, "thread-count parity violated");
+    if serial_ranked != ranked {
+        return Err(format!(
+            "cell {}: thread-count parity violated: the {threads}-thread run ranked \
+             differently from the serial run",
+            spec.id()
+        ));
+    }
 
     // Accuracy at the per-cell calibrated threshold (highest threshold
     // reaching 80% recall, else best F1 — the §IV-E rule).

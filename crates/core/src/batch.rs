@@ -39,10 +39,11 @@
 //!   jittered-backoff retry, seeded by the run fingerprint.
 
 use crate::attrib::Ranked;
-use crate::checkpoint::{self, Checkpoint, CheckpointError, Fnv1a};
+use crate::checkpoint::{self, Checkpoint, Fnv1a};
 use crate::dataset::Dataset;
 use crate::twostage::{RankedMatch, TwoStage};
 use darklight_govern::{Deadline, EstimateBytes, Expired, GovernError, MemoryBudget};
+use darklight_store::StoreError;
 use std::fmt;
 use std::path::PathBuf;
 
@@ -143,9 +144,10 @@ pub fn budget_per_candidate_bytes(known: &Dataset) -> u64 {
 pub enum BatchError {
     /// The [`BatchConfig`] fails [`BatchConfig::validate`].
     InvalidConfig(String),
-    /// Loading or saving the checkpoint failed, or the checkpoint belongs
-    /// to a different run.
-    Checkpoint(CheckpointError),
+    /// Loading or saving the checkpoint failed, the file is not an
+    /// intact checkpoint, or it belongs to a different run
+    /// ([`StoreError::FingerprintMismatch`]).
+    Checkpoint(StoreError),
     /// The run stopped after [`CheckpointSpec::interrupt_after_rounds`]
     /// rounds; the checkpoint on disk holds the state reached so far.
     Interrupted {
@@ -161,7 +163,12 @@ impl fmt::Display for BatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BatchError::InvalidConfig(why) => write!(f, "invalid batch config: {why}"),
-            BatchError::Checkpoint(e) => write!(f, "{e}"),
+            BatchError::Checkpoint(e @ StoreError::FingerprintMismatch { .. }) => write!(
+                f,
+                "checkpoint {e} — the config or corpus changed since it was written; \
+                 delete the checkpoint (or point --checkpoint elsewhere) to start fresh"
+            ),
+            BatchError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             BatchError::Interrupted { rounds_done } => {
                 write!(
                     f,
@@ -183,8 +190,8 @@ impl std::error::Error for BatchError {
     }
 }
 
-impl From<CheckpointError> for BatchError {
-    fn from(e: CheckpointError) -> BatchError {
+impl From<StoreError> for BatchError {
+    fn from(e: StoreError) -> BatchError {
         BatchError::Checkpoint(e)
     }
 }
@@ -288,18 +295,16 @@ pub fn run_batched_governed(
             match checkpoint::load_retrying(&spec.path, &govern.retry, *fingerprint, metrics)? {
                 Some(ck) => {
                     if ck.fingerprint != *fingerprint {
-                        return Err(BatchError::Checkpoint(
-                            CheckpointError::FingerprintMismatch {
-                                expected: *fingerprint,
-                                found: ck.fingerprint,
-                            },
-                        ));
+                        return Err(BatchError::Checkpoint(StoreError::FingerprintMismatch {
+                            expected: *fingerprint,
+                            found: ck.fingerprint,
+                        }));
                     }
                     if ck.survivors.len() != unknown.len()
                         || ck.survivors.iter().flatten().any(|&i| i >= known.len())
                     {
-                        return Err(BatchError::Checkpoint(CheckpointError::Malformed(format!(
-                            "checkpoint pools do not fit the datasets ({} pools for {} unknowns)",
+                        return Err(BatchError::Checkpoint(StoreError::Malformed(format!(
+                            "survivor pools do not fit the datasets ({} pools for {} unknowns)",
                             ck.survivors.len(),
                             unknown.len()
                         ))));
@@ -367,7 +372,6 @@ pub fn run_fingerprint(
     unknown: &Dataset,
 ) -> u64 {
     let mut h = Fnv1a::new();
-    h.write_u64(checkpoint::CHECKPOINT_VERSION);
     h.write_u64(config.batch_size as u64);
     let ec = engine.config();
     h.write_u64(ec.k as u64);
@@ -969,10 +973,64 @@ mod tests {
         assert!(
             matches!(
                 err,
-                BatchError::Checkpoint(CheckpointError::FingerprintMismatch { .. })
+                BatchError::Checkpoint(StoreError::FingerprintMismatch { .. })
             ),
             "{err}"
         );
+        checkpoint::remove(&spec.path);
+    }
+
+    #[test]
+    fn bit_rotted_checkpoint_pools_refuse_to_resume() {
+        let (known, unknown) = world();
+        let e = engine();
+        let config = BatchConfig { batch_size: 4 };
+        let mut spec = CheckpointSpec::new(ckpt_path("bit_rot.ckpt"));
+        checkpoint::remove(&spec.path);
+        spec.interrupt_after_rounds = Some(1);
+        let err = run_batched_governed(&e, &config, &known, &unknown, Some(&spec)).unwrap_err();
+        assert!(matches!(err, BatchError::Interrupted { .. }), "{err}");
+        // The pools section is the last one in the file: rot its final
+        // byte, which a digit-for-digit text format would have accepted.
+        let mut bytes = std::fs::read(&spec.path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x01;
+        std::fs::write(&spec.path, &bytes).unwrap();
+        spec.interrupt_after_rounds = None;
+        let err = run_batched_governed(&e, &config, &known, &unknown, Some(&spec)).unwrap_err();
+        assert!(matches!(err, BatchError::Checkpoint(_)), "{err}");
+        assert!(spec.path.exists(), "a refused checkpoint is never deleted");
+        checkpoint::remove(&spec.path);
+    }
+
+    #[test]
+    fn corrupt_checkpoint_is_not_retried() {
+        use darklight_obs::PipelineMetrics;
+        let (known, unknown) = world();
+        let metrics = PipelineMetrics::enabled();
+        let e = TwoStage::new(TwoStageConfig {
+            k: 3,
+            threads: 2,
+            metrics: metrics.clone(),
+            ..TwoStageConfig::default()
+        });
+        let spec = CheckpointSpec::new(ckpt_path("not_utf8.ckpt"));
+        // Not UTF-8 and not a container: corruption, which re-reading
+        // cannot fix.
+        std::fs::write(&spec.path, [0xff, 0xfe, 0x00, 0x9c]).unwrap();
+        let err = run_batched_governed(
+            &e,
+            &BatchConfig { batch_size: 4 },
+            &known,
+            &unknown,
+            Some(&spec),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, BatchError::Checkpoint(e) if !matches!(e, StoreError::Io(_))),
+            "{err}"
+        );
+        assert_eq!(metrics.counter("govern.io_retries").get(), 0);
         checkpoint::remove(&spec.path);
     }
 

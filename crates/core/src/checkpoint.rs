@@ -4,14 +4,16 @@
 //! exactly where attribution runs take hours and interruptions are
 //! routine; without a checkpoint, a crash in round 7 forfeits rounds
 //! 1–6. This module persists the inter-round state — the per-unknown
-//! survivor pools plus the number of completed rounds — to a small JSON
-//! file after every round, and loads it back on resume.
+//! survivor pools plus the number of completed rounds — after every
+//! round, and loads it back on resume.
 //!
-//! The file is written with the serde-free [`darklight_obs::Json`]
-//! writer and read back with its parser, in the same style as the
-//! metrics snapshots. Writes go to a `.tmp` sibling first and are
-//! `rename`d into place, so a crash mid-write leaves the previous
-//! checkpoint intact rather than a torn file.
+//! A checkpoint is a `darklight-store` [`Container`]: the run
+//! fingerprint sits in the CRC-checked header, and two sections hold the
+//! completed-round count (`batch.rounds`) and the survivor pools
+//! (`batch.pools`). It is written through the store's one durable-write
+//! path, so a crash mid-write leaves the previous checkpoint intact, and
+//! a torn or bit-rotted file fails its CRCs on load as a typed
+//! [`StoreError`] instead of resuming with a changed candidate pool.
 //!
 //! A checkpoint is only as good as the run it belongs to: resuming round
 //! 7's pools against a different corpus or a different `k` would produce
@@ -26,12 +28,23 @@
 pub use darklight_govern::Fnv1a;
 
 use darklight_govern::{fault, with_retry, RetryPolicy};
-use darklight_obs::{Json, PipelineMetrics};
-use std::fmt;
+use darklight_obs::PipelineMetrics;
+use darklight_store::codec::{Reader, Writer};
+use darklight_store::{read_container, write_durable, Container, FaultSites, StoreError};
 use std::path::Path;
 
-/// Format version written into every checkpoint file.
-pub const CHECKPOINT_VERSION: u64 = 1;
+/// Fault-injection site for checkpoint writes (count mode before the
+/// write, `trunc:`/`flip:` corruption of the written bytes).
+const SITE_SAVE: &str = "checkpoint.save";
+
+/// Fault-injection site for checkpoint reads.
+const SITE_LOAD: &str = "checkpoint.load";
+
+/// Section holding the completed-round count.
+const SEC_ROUNDS: &str = "batch.rounds";
+
+/// Section holding the per-unknown survivor pools.
+const SEC_POOLS: &str = "batch.pools";
 
 /// The persisted inter-round state of a batched attribution run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,157 +58,73 @@ pub struct Checkpoint {
     pub survivors: Vec<Vec<usize>>,
 }
 
-/// Errors loading or saving a checkpoint.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The file exists but is not a valid checkpoint.
-    Malformed(String),
-    /// The checkpoint belongs to a different run (config or corpus
-    /// changed since it was written).
-    FingerprintMismatch {
-        /// Fingerprint of the current run.
-        expected: u64,
-        /// Fingerprint stored in the file.
-        found: u64,
-    },
-}
-
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint i/o error: {e}"),
-            CheckpointError::Malformed(why) => write!(f, "malformed checkpoint: {why}"),
-            CheckpointError::FingerprintMismatch { expected, found } => write!(
-                f,
-                "checkpoint fingerprint {found:#018x} does not match this run's \
-                 {expected:#018x} — the config or corpus changed since it was written; \
-                 delete the checkpoint (or point --checkpoint elsewhere) to start fresh"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckpointError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> CheckpointError {
-        CheckpointError::Io(e)
-    }
-}
-
-fn get_u64(doc: &Json, key: &str) -> Result<u64, CheckpointError> {
-    match doc.get(key) {
-        Some(Json::UInt(n)) => Ok(*n),
-        other => Err(CheckpointError::Malformed(format!(
-            "field {key:?} missing or not an unsigned integer (got {other:?})"
-        ))),
-    }
-}
-
-/// Serializes a checkpoint to its JSON document.
-fn to_json(ck: &Checkpoint) -> Json {
-    let mut doc = Json::object();
-    doc.set("version", Json::UInt(CHECKPOINT_VERSION));
-    doc.set("fingerprint", Json::UInt(ck.fingerprint));
-    doc.set("rounds_done", Json::UInt(ck.rounds_done));
-    doc.set(
-        "survivors",
-        Json::Array(
-            ck.survivors
-                .iter()
-                .map(|pool| Json::Array(pool.iter().map(|&i| Json::UInt(i as u64)).collect()))
-                .collect(),
-        ),
-    );
-    doc
-}
-
-/// Parses a checkpoint from its JSON document.
-fn from_json(doc: &Json) -> Result<Checkpoint, CheckpointError> {
-    let version = get_u64(doc, "version")?;
-    if version != CHECKPOINT_VERSION {
-        return Err(CheckpointError::Malformed(format!(
-            "unsupported checkpoint version {version} (this build reads {CHECKPOINT_VERSION})"
-        )));
-    }
-    let fingerprint = get_u64(doc, "fingerprint")?;
-    let rounds_done = get_u64(doc, "rounds_done")?;
-    let Some(Json::Array(pools)) = doc.get("survivors") else {
-        return Err(CheckpointError::Malformed(
-            "field \"survivors\" missing or not an array".to_string(),
-        ));
-    };
-    let mut survivors = Vec::with_capacity(pools.len());
-    for pool in pools {
-        let Json::Array(items) = pool else {
-            return Err(CheckpointError::Malformed(
-                "survivor pool is not an array".to_string(),
-            ));
-        };
-        let mut out = Vec::with_capacity(items.len());
-        for item in items {
-            match item {
-                Json::UInt(n) => out.push(*n as usize),
-                other => {
-                    return Err(CheckpointError::Malformed(format!(
-                        "survivor index is not an unsigned integer (got {other:?})"
-                    )))
-                }
+impl Checkpoint {
+    fn to_container(&self) -> Container {
+        let mut c = Container::new(self.fingerprint);
+        let mut rounds = Writer::new();
+        rounds.put_u64(self.rounds_done);
+        c.push_section(SEC_ROUNDS, rounds.into_bytes());
+        let mut pools = Writer::new();
+        pools.put_u64(self.survivors.len() as u64);
+        for pool in &self.survivors {
+            pools.put_u64(pool.len() as u64);
+            for &i in pool {
+                pools.put_u64(i as u64);
             }
         }
-        survivors.push(out);
+        c.push_section(SEC_POOLS, pools.into_bytes());
+        c
     }
-    Ok(Checkpoint {
-        fingerprint,
-        rounds_done,
-        survivors,
-    })
+
+    fn from_container(c: &Container) -> Result<Checkpoint, StoreError> {
+        let mut rounds = Reader::new(c.section(SEC_ROUNDS)?);
+        let rounds_done = rounds.get_u64()?;
+        rounds.expect_end()?;
+        let mut pools = Reader::new(c.section(SEC_POOLS)?);
+        let mut survivors = vec![Vec::new(); pools.get_count(8)?];
+        for pool in &mut survivors {
+            let len = pools.get_count(8)?;
+            pool.reserve_exact(len);
+            for _ in 0..len {
+                let i = pools.get_u64()?;
+                pool.push(usize::try_from(i).map_err(|_| {
+                    StoreError::Malformed(format!("survivor index {i} overflows usize"))
+                })?);
+            }
+        }
+        pools.expect_end()?;
+        Ok(Checkpoint {
+            fingerprint: c.fingerprint,
+            rounds_done,
+            survivors,
+        })
+    }
 }
 
-/// Atomically and durably writes `ck` to `path` (tmp sibling, fsync,
-/// rename, directory fsync).
-///
-/// The temp file is `sync_all`'d *before* the rename — renaming an
-/// unsynced file can leave a zero-length or torn "checkpoint" after a
-/// crash, which is worse than no checkpoint because resume would trust
-/// it. The parent directory is then fsynced so the rename itself
-/// survives a crash (on platforms where directories can be opened).
+/// Atomically and durably writes `ck` to `path` through the store's
+/// durable-write path.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; on error the previous checkpoint at `path`,
-/// if any, is left untouched.
-pub fn save(path: &Path, ck: &Checkpoint) -> Result<(), CheckpointError> {
-    fault::maybe_fail_io("checkpoint.save")?;
-    let tmp = path.with_extension("tmp");
-    {
-        use std::io::Write as _;
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(to_json(ck).render_pretty().as_bytes())?;
-        file.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    #[cfg(unix)]
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::File::open(dir)?.sync_all()?;
-    }
-    Ok(())
+/// [`StoreError::Io`] on filesystem failure; the previous checkpoint at
+/// `path`, if any, is then left untouched.
+pub fn save(path: &Path, ck: &Checkpoint) -> Result<(), StoreError> {
+    write_durable(
+        path,
+        ck.to_container().to_bytes(),
+        FaultSites {
+            before_write: Some(SITE_SAVE),
+            corrupt: SITE_SAVE,
+            before_rename: None,
+        },
+    )
 }
 
 /// Whether a checkpoint error is worth retrying: I/O failures are
 /// (possibly transient outage), corruption and fingerprint mismatches
 /// are not (retrying re-reads the same bad bytes).
-fn is_transient(e: &CheckpointError) -> bool {
-    matches!(e, CheckpointError::Io(_))
+fn is_transient(e: &StoreError) -> bool {
+    matches!(e, StoreError::Io(_))
 }
 
 /// [`save`] wrapped in the governor's jittered-backoff retry (site
@@ -204,23 +133,17 @@ fn is_transient(e: &CheckpointError) -> bool {
 ///
 /// # Errors
 ///
-/// The last [`CheckpointError::Io`] once retries are exhausted, or the
-/// first non-transient error.
+/// The last [`StoreError::Io`] once retries are exhausted.
 pub fn save_retrying(
     path: &Path,
     ck: &Checkpoint,
     policy: &RetryPolicy,
     seed: u64,
     metrics: &PipelineMetrics,
-) -> Result<(), CheckpointError> {
-    with_retry(
-        "checkpoint.save",
-        policy,
-        seed,
-        metrics,
-        is_transient,
-        || save(path, ck),
-    )
+) -> Result<(), StoreError> {
+    with_retry(SITE_SAVE, policy, seed, metrics, is_transient, || {
+        save(path, ck)
+    })
 }
 
 /// Loads the checkpoint at `path`; `Ok(None)` when no file exists (a
@@ -228,18 +151,16 @@ pub fn save_retrying(
 ///
 /// # Errors
 ///
-/// Returns [`CheckpointError::Io`] on read failures other than
-/// not-found, and [`CheckpointError::Malformed`] when the file does not
-/// parse as a supported checkpoint.
-pub fn load(path: &Path) -> Result<Option<Checkpoint>, CheckpointError> {
-    fault::maybe_fail_io("checkpoint.load")?;
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(CheckpointError::Io(e)),
-    };
-    let doc = Json::parse(&text).map_err(|e| CheckpointError::Malformed(e.to_string()))?;
-    Ok(Some(from_json(&doc)?))
+/// [`StoreError::Io`] on read failures other than not-found, and the
+/// store's typed corruption errors when the file is not an intact
+/// checkpoint container (a damaged file, or a checkpoint in an older
+/// format).
+pub fn load(path: &Path) -> Result<Option<Checkpoint>, StoreError> {
+    fault::maybe_fail_io(SITE_LOAD)?;
+    match read_container(path) {
+        Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        read => Checkpoint::from_container(&read?).map(Some),
+    }
 }
 
 /// [`load`] wrapped in the governor's retry (site `checkpoint.load`);
@@ -247,23 +168,17 @@ pub fn load(path: &Path) -> Result<Option<Checkpoint>, CheckpointError> {
 ///
 /// # Errors
 ///
-/// The last [`CheckpointError::Io`] once retries are exhausted, or the
-/// first non-transient error ([`CheckpointError::Malformed`] /
-/// [`CheckpointError::FingerprintMismatch`] never retry).
+/// The last [`StoreError::Io`] once retries are exhausted, or the first
+/// corruption error (corruption never retries).
 pub fn load_retrying(
     path: &Path,
     policy: &RetryPolicy,
     seed: u64,
     metrics: &PipelineMetrics,
-) -> Result<Option<Checkpoint>, CheckpointError> {
-    with_retry(
-        "checkpoint.load",
-        policy,
-        seed,
-        metrics,
-        is_transient,
-        || load(path),
-    )
+) -> Result<Option<Checkpoint>, StoreError> {
+    with_retry(SITE_LOAD, policy, seed, metrics, is_transient, || {
+        load(path)
+    })
 }
 
 /// Removes the checkpoint at `path` (best-effort; absent is fine).
@@ -291,7 +206,7 @@ mod tests {
 
     #[test]
     fn save_load_round_trip() {
-        let path = temp_path("roundtrip.json");
+        let path = temp_path("roundtrip.ckpt");
         let ck = sample();
         save(&path, &ck).unwrap();
         assert_eq!(load(&path).unwrap().unwrap(), ck);
@@ -301,22 +216,56 @@ mod tests {
 
     #[test]
     fn missing_file_is_a_fresh_run() {
-        assert!(load(Path::new("/nonexistent/dir/ck.json"))
+        assert!(load(Path::new("/nonexistent/dir/ck.ckpt"))
             .unwrap()
             .is_none());
     }
 
     #[test]
     fn malformed_files_are_typed_errors() {
-        let path = temp_path("malformed.json");
-        std::fs::write(&path, "not json at all").unwrap();
+        let path = temp_path("malformed.ckpt");
+        // A checkpoint in the older JSON format is not a container.
+        std::fs::write(
+            &path,
+            "{\n  \"version\": 1,\n  \"fingerprint\": 7,\n  \"rounds_done\": 1,\n  \
+             \"survivors\": [[0, 1]]\n}\n",
+        )
+        .unwrap();
+        assert!(matches!(load(&path).unwrap_err(), StoreError::Malformed(_)));
+        // An intact container that lacks the checkpoint sections.
+        let mut c = Container::new(7);
+        c.push_section(SEC_ROUNDS, 1u64.to_le_bytes().to_vec());
+        std::fs::write(&path, c.to_bytes()).unwrap();
         assert!(matches!(
             load(&path).unwrap_err(),
-            CheckpointError::Malformed(_)
+            StoreError::MissingSection { section } if section == SEC_POOLS
         ));
-        std::fs::write(&path, "{\"version\": 999}").unwrap();
-        let err = load(&path).unwrap_err();
-        assert!(err.to_string().contains("version 999"), "{err}");
+        remove(&path);
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_of_a_checkpoint_is_refused() {
+        // XOR 0x01 turns one ASCII digit into another, which a text
+        // format would happily parse as a different survivor index. No
+        // damaged file may load: every flip and every truncation must be
+        // a typed error, never a panic and never a silently changed pool.
+        let path = temp_path("bitrot.ckpt");
+        save(&path, &sample()).unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        for i in 0..clean.len() {
+            let mut bad = clean.clone();
+            bad[i] ^= 0x01;
+            std::fs::write(&path, &bad).unwrap();
+            if let Ok(ck) = load(&path) {
+                panic!("flip at byte {i} loaded: {ck:?}");
+            }
+        }
+        for keep in 0..clean.len() {
+            std::fs::write(&path, &clean[..keep]).unwrap();
+            if let Ok(ck) = load(&path) {
+                panic!("truncation to {keep} bytes loaded: {ck:?}");
+            }
+        }
         remove(&path);
     }
 
@@ -326,8 +275,8 @@ mod tests {
         // guarantee: saving the same logical state twice must produce the
         // same bytes (no HashMap iteration, no timestamps, no randomness
         // anywhere in the serialization path).
-        let a = temp_path("stable_a.json");
-        let b = temp_path("stable_b.json");
+        let a = temp_path("stable_a.ckpt");
+        let b = temp_path("stable_b.ckpt");
         save(&a, &sample()).unwrap();
         save(&b, &sample()).unwrap();
         assert_eq!(
@@ -335,13 +284,17 @@ mod tests {
             std::fs::read(&b).unwrap(),
             "checkpoint serialization is not byte-deterministic"
         );
+        assert_eq!(
+            std::fs::read(&a).unwrap(),
+            sample().to_container().to_bytes()
+        );
         remove(&a);
         remove(&b);
     }
 
     #[test]
     fn save_is_atomic_against_partial_writes() {
-        let path = temp_path("atomic.json");
+        let path = temp_path("atomic.ckpt");
         save(&path, &sample()).unwrap();
         // A stale tmp sibling (crash between write and rename) must not
         // break subsequent saves or loads.

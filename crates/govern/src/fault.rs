@@ -30,7 +30,10 @@
 //! Sites instrumented today: `checkpoint.save`, `checkpoint.load`
 //! (`darklight-core`), `corpus.read` (the CLI ingestion path), and the
 //! `store.*` sites of `darklight-store` (`store.write_artifact`,
-//! `store.publish_rename`, `store.current_swap`).
+//! `store.publish_rename`, `store.current_swap`). The write-corruption
+//! modes apply at `store.write_artifact`, `store.current_swap` and
+//! `checkpoint.save` — every site whose bytes reach disk through the
+//! store's one durable-write function.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;

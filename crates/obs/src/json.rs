@@ -4,10 +4,9 @@
 //! environment is offline), so metric snapshots are rendered through this
 //! hand-rolled writer. Objects use [`BTreeMap`] so key order — and
 //! therefore the serialized bytes — are deterministic, which the golden
-//! schema tests rely on. [`Json::parse`] is the matching reader: the
-//! batch-attribution checkpoint files are written with this writer and
-//! read back with this parser on resume, so neither side needs an
-//! external crate.
+//! schema tests rely on. [`Json::parse`] is the matching reader:
+//! `bench-matrix --check` reads its committed baselines with it, so
+//! neither side needs an external crate.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -27,20 +27,18 @@
 //! each payload is checksummed before it is handed to a decoder. Loads
 //! return typed errors on every corruption; nothing panics.
 //!
-//! Writing goes through the tmp + fsync + rename discipline shared with
-//! `darklight-core::checkpoint`, instrumented with the
-//! `DARKLIGHT_FAULT_IO` hooks at three sites: `store.write_artifact`
+//! Writing goes through the one durable-write path,
+//! [`write_durable`](crate::durable::write_durable), instrumented with
+//! the `DARKLIGHT_FAULT_IO` hooks at two sites: `store.write_artifact`
 //! (transient errors and `trunc:`/`flip:` byte corruption) and
 //! `store.publish_rename` (a crash between tmp write and rename).
 
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
-
-use darklight_govern::fault;
 
 use crate::codec::{Reader, Writer};
 use crate::crc::{crc32, Crc32};
+use crate::durable::{write_durable, FaultSites};
 use crate::StoreError;
 
 /// The 8-byte magic prefix of every container file.
@@ -212,43 +210,25 @@ pub fn read_container(path: &Path) -> Result<Container, StoreError> {
     Container::from_bytes(&bytes)
 }
 
-/// Serializes and durably writes a container: tmp sibling, `fsync`,
-/// rename over the target, parent-directory `fsync`. Consults the
-/// `DARKLIGHT_FAULT_IO` hooks — the `trunc:`/`flip:` modes corrupt the
-/// buffered bytes (modelling a torn write that still renamed), and the
-/// count mode at `store.publish_rename` fails before the rename
-/// (modelling a crash that leaves only the tmp file).
+/// Serializes and durably writes a container through
+/// [`write_durable`]. The `trunc:`/`flip:` modes at `store.write_artifact`
+/// corrupt the buffered bytes (modelling a torn write that still
+/// renamed), and the count mode at `store.publish_rename` fails before
+/// the rename (modelling a crash that leaves only the tmp file).
 ///
 /// # Errors
 ///
 /// [`StoreError::Io`] on any filesystem failure, injected or real.
 pub fn write_container(path: &Path, container: &Container) -> Result<(), StoreError> {
-    fault::maybe_fail_io(SITE_WRITE)?;
-    let mut bytes = container.to_bytes();
-    if let Some(f) = fault::take_write_fault(SITE_WRITE) {
-        f.corrupt(&mut bytes);
-    }
-    let tmp = path.with_extension("tmp");
-    {
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(&bytes)?;
-        file.sync_all()?;
-    }
-    fault::maybe_fail_io(SITE_RENAME)?;
-    fs::rename(&tmp, path)?;
-    sync_parent_dir(path)?;
-    Ok(())
-}
-
-/// Fsyncs the parent directory so the rename itself is durable.
-pub(crate) fn sync_parent_dir(path: &Path) -> Result<(), StoreError> {
-    #[cfg(unix)]
-    if let Some(parent) = path.parent() {
-        fs::File::open(parent)?.sync_all()?;
-    }
-    #[cfg(not(unix))]
-    let _ = path;
-    Ok(())
+    write_durable(
+        path,
+        container.to_bytes(),
+        FaultSites {
+            before_write: Some(SITE_WRITE),
+            corrupt: SITE_WRITE,
+            before_rename: Some(SITE_RENAME),
+        },
+    )
 }
 
 #[cfg(test)]

@@ -12,9 +12,8 @@
 //!
 //! A publish writes the container into a **fresh** epoch directory
 //! (epochs are immutable once named by `CURRENT`), then swaps the
-//! `CURRENT` pointer via the same tmp + fsync + rename discipline. The
-//! two-step protocol means every crash window leaves the store
-//! serveable:
+//! `CURRENT` pointer through the same durable write. The two-step
+//! protocol means every crash window leaves the store serveable:
 //!
 //! * crash mid-artifact-write — the new epoch has only a `.tmp` (or a
 //!   corrupt `artifact.dla` if the torn bytes renamed); `CURRENT` still
@@ -31,13 +30,12 @@
 //! metrics (`store.crc_failures`, `store.epoch_fallbacks`).
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use darklight_govern::fault;
 use darklight_obs::PipelineMetrics;
 
-use crate::container::{read_container, sync_parent_dir, write_container, Container};
+use crate::container::{read_container, write_container, Container};
+use crate::durable::{write_durable, FaultSites};
 use crate::StoreError;
 
 /// Name of the pointer file under the store root.
@@ -140,23 +138,17 @@ impl EpochStore {
         Ok(epoch)
     }
 
-    /// Durably points `CURRENT` at `epoch` (tmp + fsync + rename).
+    /// Durably points `CURRENT` at `epoch` through [`write_durable`].
     fn swap_current(&self, epoch: u64) -> Result<(), StoreError> {
-        let path = self.root.join(CURRENT_FILE);
-        let tmp = self.root.join("CURRENT.tmp");
-        let mut bytes = format!("{}\n", epoch_name(epoch)).into_bytes();
-        if let Some(f) = fault::take_write_fault(SITE_CURRENT) {
-            f.corrupt(&mut bytes);
-        }
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-        }
-        fault::maybe_fail_io(SITE_CURRENT)?;
-        fs::rename(&tmp, &path)?;
-        sync_parent_dir(&path)?;
-        Ok(())
+        write_durable(
+            &self.root.join(CURRENT_FILE),
+            format!("{}\n", epoch_name(epoch)).into_bytes(),
+            FaultSites {
+                before_write: None,
+                corrupt: SITE_CURRENT,
+                before_rename: Some(SITE_CURRENT),
+            },
+        )
     }
 
     /// Loads the newest cleanly-decodable artifact, walking the

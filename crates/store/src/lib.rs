@@ -1,11 +1,14 @@
-//! Durable artifact storage for fitted pipeline state.
+//! Durable storage: the workspace's one durable-write path and its one
+//! persistence format.
 //!
-//! The checkpoint machinery in `darklight-core` already writes JSON via
-//! the tmp + fsync + rename discipline, which protects against a crash
-//! *between* files — but not against a torn write, a truncated tail, or
-//! a flipped bit inside one: those load as garbage. This crate adds the
-//! storage layer an artifact-serving daemon needs:
+//! The state darklight resumes from — fitted pipeline artifacts and
+//! batch-attribution checkpoints — is a container of this crate written
+//! through [`write_durable`], so a torn write, a truncated tail, or a
+//! flipped bit inside a file is a typed error on load rather than
+//! garbage:
 //!
+//! * [`durable`] — the one function that writes bytes durably (tmp
+//!   sibling, `fsync`, rename, parent-directory `fsync`).
 //! * [`container`] — a versioned, sectioned, CRC-checksummed binary
 //!   container. Every section carries its own CRC-32; loads return
 //!   typed [`StoreError`]s ([`VersionMismatch`](StoreError::VersionMismatch),
@@ -20,10 +23,9 @@
 //!   payload encoders share, with bounds-checked reads.
 //!
 //! What goes *inside* the sections is the caller's business: the domain
-//! encoding of the fitted pipeline (vocabularies, IDF, author vectors,
-//! activity profiles, the fit fingerprint) lives in
-//! `darklight-core::artifact`, keeping this crate a generic container
-//! layer below the engine.
+//! encodings of the fitted pipeline (`darklight-core::artifact`) and of
+//! the batch checkpoint (`darklight-core::checkpoint`) live with the
+//! engine, keeping this crate a generic container layer below it.
 //!
 //! Writes consult the `DARKLIGHT_FAULT_IO` hooks of `darklight-govern`:
 //! the count mode injects transient I/O errors, and the `trunc:`/`flip:`
@@ -36,15 +38,18 @@
 pub mod codec;
 pub mod container;
 pub mod crc;
+pub mod durable;
 pub mod epoch;
 
 pub use container::{read_container, write_container, Container, Section, FORMAT_VERSION};
+pub use durable::{write_durable, FaultSites};
 pub use epoch::{EpochStore, CURRENT_FILE};
 
 use std::fmt;
 
-/// Typed failures of the artifact store. Corruption is always reported
-/// as a value — no load path panics on malformed bytes.
+/// Typed failures of the store's files — fit artifacts and batch
+/// checkpoints alike. Corruption is always reported as a value — no
+/// load path panics on malformed bytes.
 #[derive(Debug)]
 pub enum StoreError {
     /// An underlying filesystem operation failed.
@@ -74,12 +79,12 @@ pub enum StoreError {
         /// Tag of the absent section.
         section: String,
     },
-    /// The artifact's stored fingerprint does not match the state that
-    /// was decoded from it (or the fingerprint the caller demanded).
+    /// The file's stored fingerprint does not match the state that was
+    /// decoded from it (or the fingerprint the caller demanded).
     FingerprintMismatch {
         /// The fingerprint the caller expected.
         expected: u64,
-        /// The fingerprint found in the artifact.
+        /// The fingerprint found in the file.
         found: u64,
     },
     /// No epoch under the store root loads cleanly.
@@ -89,24 +94,24 @@ pub enum StoreError {
 impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreError::Io(e) => write!(f, "artifact i/o error: {e}"),
-            StoreError::Malformed(what) => write!(f, "malformed artifact: {what}"),
+            StoreError::Io(e) => write!(f, "i/o error: {e}"),
+            StoreError::Malformed(what) => write!(f, "malformed store file: {what}"),
             StoreError::VersionMismatch { expected, found } => write!(
                 f,
-                "artifact format version mismatch: expected v{expected}, found v{found}"
+                "store format version mismatch: expected v{expected}, found v{found}"
             ),
             StoreError::SectionCrcMismatch { section } => {
-                write!(f, "artifact section {section:?} failed its CRC-32 check")
+                write!(f, "section {section:?} failed its CRC-32 check")
             }
             StoreError::TruncatedSection { section } => {
-                write!(f, "artifact section {section:?} is truncated")
+                write!(f, "section {section:?} is truncated")
             }
             StoreError::MissingSection { section } => {
-                write!(f, "artifact is missing required section {section:?}")
+                write!(f, "missing required section {section:?}")
             }
             StoreError::FingerprintMismatch { expected, found } => write!(
                 f,
-                "artifact fingerprint mismatch: expected {expected:016x}, found {found:016x}"
+                "fingerprint mismatch: expected {expected:016x}, found {found:016x}"
             ),
             StoreError::NoUsableEpoch => {
                 write!(f, "no epoch in the store loads cleanly")
@@ -127,16 +132,5 @@ impl std::error::Error for StoreError {
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> StoreError {
         StoreError::Io(e)
-    }
-}
-
-impl StoreError {
-    /// True for errors that mean "these bytes are not a trustworthy
-    /// artifact" — the recovery ladder falls back to an earlier epoch on
-    /// them. I/O errors also qualify (a vanished file is as unusable as
-    /// a corrupt one); only [`NoUsableEpoch`](StoreError::NoUsableEpoch)
-    /// itself is terminal.
-    pub fn is_corruption(&self) -> bool {
-        !matches!(self, StoreError::NoUsableEpoch)
     }
 }

@@ -22,7 +22,7 @@
 //! darklight link <known.tsv> <unknown.tsv> [--threshold T] [--k K]
 //!               [--threads N] [--metrics out.json] [--lenient|--strict]
 //!               [--batch-size B] [--mem-budget SIZE] [--deadline DUR]
-//!               [--checkpoint state.json]
+//!               [--checkpoint state.ckpt]
 //! darklight link --artifact <artifact-dir> <unknown.tsv> [--threshold T]
 //!               [--k K] [--threads N] [--metrics out.json]
 //!               [--lenient|--strict]
@@ -155,7 +155,7 @@ const USAGE: &str =
   fit <known.tsv> --out <artifact-dir> [--threads N] [--metrics out.json] [--lenient|--strict]\n\
   link <known.tsv> <unknown.tsv> [--threshold T] [--k K] [--threads N] [--metrics out.json]\n\
        [--lenient|--strict] [--batch-size B] [--mem-budget SIZE] [--deadline DUR]\n\
-       [--checkpoint state.json]\n\
+       [--checkpoint state.ckpt]\n\
   link --artifact <artifact-dir> <unknown.tsv> [--threshold T] [--k K] [--threads N]\n\
        [--metrics out.json] [--lenient|--strict]\n\
   profile <corpus.tsv> <alias>\n\
@@ -398,7 +398,9 @@ fn cmd_fit(args: &[String]) -> Result<(), CliError> {
     let linker = Linker::new(config).with_metrics(metrics.clone());
     let artifact = linker.fit_artifact(&known);
     let store = EpochStore::new(out_dir).with_metrics(metrics.clone());
-    let epoch = artifact.save(&store).map_err(data)?;
+    let epoch = artifact
+        .save(&store)
+        .map_err(|e| data(format!("artifact: {e}")))?;
     eprintln!(
         "fitted {} alias(es) -> {} (epoch {epoch})",
         artifact.known.len(),
@@ -424,7 +426,8 @@ fn cmd_link_artifact(args: &[String], artifact_dir: &str) -> Result<(), CliError
     let config = linker_config(args, true)?;
     let threads = config.two_stage.effective_threads();
     let store = EpochStore::new(artifact_dir).with_metrics(metrics.clone());
-    let (artifact, epoch) = FitArtifact::load(&store, threads).map_err(data)?;
+    let (artifact, epoch) =
+        FitArtifact::load(&store, threads).map_err(|e| data(format!("artifact: {e}")))?;
     let unknown = load_corpus_cli(unknown_path, lenient, &metrics)?;
     eprintln!(
         "linking {} unknowns against {} fitted knowns from {} epoch {epoch} \

@@ -332,6 +332,54 @@ fn link_with_checkpoint_succeeds_and_cleans_up() {
 }
 
 #[test]
+fn stale_json_checkpoint_is_refused_and_kept() {
+    let dir = temp_dir("ckpt_json");
+    bin()
+        .args([
+            "gen",
+            dir.to_str().unwrap(),
+            "--scale",
+            "small",
+            "--seed",
+            "9",
+        ])
+        .output()
+        .unwrap();
+    // A checkpoint in the retired JSON format, as older builds wrote it.
+    let ckpt = dir.join("link_state.json");
+    let stale = "{\n  \"version\": 1,\n  \"fingerprint\": 1234567890,\n  \
+                 \"rounds_done\": 1,\n  \"survivors\": [\n    [0, 1, 2]\n  ]\n}\n";
+    std::fs::write(&ckpt, stale).unwrap();
+    let out = bin()
+        .args([
+            "link",
+            dir.join("tmg.tsv").to_str().unwrap(),
+            dir.join("dm.tsv").to_str().unwrap(),
+            "--batch-size",
+            "10",
+            "--checkpoint",
+            ckpt.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("error:") && l.contains("checkpoint")),
+        "{stderr}"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&ckpt).unwrap(),
+        stale,
+        "a refused checkpoint is never deleted"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn gen_polish_stats_link_profile_flow() {
     let dir = temp_dir("flow");
     // gen
