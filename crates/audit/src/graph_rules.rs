@@ -3,9 +3,8 @@
 //! Unlike the lexical rules, which see one file at a time, graph rules
 //! see every production file at once: who defines which type, which
 //! crate references which, which functions call which. Each rule
-//! reports `(file, offset)` pairs the driver resolves to line/column
-//! and feeds through the same `audit:allow` suppression machinery as
-//! the lexical catalog.
+//! reports `(file, offset)` pairs the driver resolves to line/column,
+//! exactly like the lexical catalog.
 //!
 //! Adding a graph rule: implement [`GraphRule`], add it to
 //! [`catalog`], give it a firing and a passing fixture under
@@ -22,13 +21,13 @@ pub struct GraphFinding {
     pub file_idx: usize,
     /// Byte offset of the offending token or definition.
     pub offset: usize,
-    /// Human explanation, including how to fix or annotate.
+    /// Human explanation, including how to fix it.
     pub message: String,
 }
 
 /// One cross-file rule.
 pub trait GraphRule {
-    /// Stable kebab-case id, used in output and `audit:allow(...)`.
+    /// Stable kebab-case id, used in output.
     fn id(&self) -> &'static str;
     /// One-line description for `darklight-audit rules`.
     fn description(&self) -> &'static str;
@@ -36,9 +35,7 @@ pub trait GraphRule {
     fn check(&self, files: &[FileView], graph: &ItemGraph, out: &mut Vec<GraphFinding>);
 }
 
-/// The graph-rule catalog, in reporting order. (`stale-suppression`,
-/// the fifth member of the family, lives in the driver: it needs the
-/// post-suppression match results the rules themselves never see.)
+/// The graph-rule catalog, in reporting order.
 pub fn catalog() -> Vec<Box<dyn GraphRule>> {
     vec![
         Box::new(CrateLayering),
@@ -175,9 +172,8 @@ impl GraphRule for EstimateBytesCoverage {
                 message: format!(
                     "`{name}` holds resident state (reached via {}) but has no \
                      `impl EstimateBytes` — implement it so the memory governor can \
-                     count this state, or annotate with \
-                     `// audit:allow(estimate-bytes-coverage) -- <why its size is \
-                     not budget-relevant>`",
+                     count this state (returning 0, with a doc comment saying why, \
+                     if its size is not budget-relevant)",
                     path.join(" -> ")
                 ),
             });

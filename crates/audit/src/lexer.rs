@@ -1,27 +1,17 @@
 //! A comment- and string-aware scrubber for Rust source.
 //!
 //! The audit rules are lexical, not syntactic: they search for forbidden
-//! tokens (`partial_cmp`, `.unwrap()`, `HashMap`, …) in source text. A
+//! tokens (`partial_cmp`, `HashMap`, `.counter(`, …) in source text. A
 //! naive substring search would fire on doc comments and string
 //! literals, so every file is first *scrubbed*: comment bodies and
 //! literal contents are replaced by spaces (newlines preserved, so every
 //! byte offset maps to the same line/column in both views), while the
-//! comments and string literals themselves are collected for the rules
-//! that need them — suppression comments and metric-name literals.
+//! string literals themselves are collected for the metric-name rule.
 //!
 //! This is deliberately not a full parser (`syn` is unreachable in this
 //! offline build environment, and the rules don't need one): it handles
 //! line and nested block comments, plain/raw/byte string literals, char
 //! literals vs. lifetimes, and raw identifiers.
-
-/// One comment in the original source (`//…`, `///…`, `/*…*/`).
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// Byte offset of the comment opener.
-    pub offset: usize,
-    /// Full comment text including the opener.
-    pub text: String,
-}
 
 /// One string literal (plain, raw, or byte) in the original source.
 #[derive(Debug, Clone)]
@@ -39,8 +29,6 @@ pub struct Scrubbed {
     /// The source with comment bodies and literal contents blanked to
     /// spaces; newlines and byte offsets are preserved.
     pub text: String,
-    /// Every comment, in source order.
-    pub comments: Vec<Comment>,
     /// Every string literal, in source order.
     pub strings: Vec<StrLit>,
     /// Byte offset of the start of each line.
@@ -48,7 +36,7 @@ pub struct Scrubbed {
 }
 
 impl Scrubbed {
-    /// Scrubs `source`, collecting comments and string literals.
+    /// Scrubs `source`, collecting its string literals.
     pub fn new(source: &str) -> Scrubbed {
         scrub(source)
     }
@@ -125,7 +113,6 @@ impl Scrubbed {
 fn scrub(source: &str) -> Scrubbed {
     let bytes = source.as_bytes();
     let mut out = bytes.to_vec();
-    let mut comments = Vec::new();
     let mut strings = Vec::new();
     let mut i = 0;
 
@@ -141,10 +128,6 @@ fn scrub(source: &str) -> Scrubbed {
         match bytes[i] {
             b'/' if bytes.get(i + 1) == Some(&b'/') => {
                 let end = source[i..].find('\n').map_or(bytes.len(), |n| i + n);
-                comments.push(Comment {
-                    offset: i,
-                    text: source[i..end].to_string(),
-                });
                 blank(&mut out, i, end);
                 i = end;
             }
@@ -162,10 +145,6 @@ fn scrub(source: &str) -> Scrubbed {
                         j += 1;
                     }
                 }
-                comments.push(Comment {
-                    offset: i,
-                    text: source[i..j].to_string(),
-                });
                 blank(&mut out, i, j);
                 i = j;
             }
@@ -236,7 +215,6 @@ fn scrub(source: &str) -> Scrubbed {
     }
     Scrubbed {
         text,
-        comments,
         strings,
         line_starts,
     }
@@ -319,12 +297,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn line_comments_are_blanked_and_collected() {
+    fn line_comments_are_blanked() {
         let s = Scrubbed::new("let x = 1; // partial_cmp here\nlet y = 2;");
         assert!(!s.text.contains("partial_cmp"));
-        assert_eq!(s.comments.len(), 1);
-        assert!(s.comments[0].text.contains("partial_cmp"));
-        assert_eq!(s.line_col(s.comments[0].offset), (1, 12));
+        assert!(s.text.starts_with("let x = 1; "));
+        assert!(s.text.ends_with("\nlet y = 2;"));
     }
 
     #[test]
@@ -413,24 +390,17 @@ mod tests {
     }
 
     #[test]
-    fn allow_in_nested_block_comment_is_one_comment() {
-        // A nested block comment is collected as ONE comment spanning the
-        // outermost terminator, so an `audit:allow` buried inside it is
-        // attributed to the outer comment's offset — and the code after
-        // the true terminator is not swallowed.
-        let src = "/* outer /* audit:allow(some-rule) -- why */ tail */ fn f() {}";
+    fn nested_block_comment_ends_at_the_outer_terminator() {
+        // The inner `*/` does not end the comment: everything up to the
+        // outermost terminator is blanked, and the code after it is not
+        // swallowed.
+        let src = "/* outer /* partial_cmp -- inner */ tail */ fn f() {}";
         let s = Scrubbed::new(src);
-        assert_eq!(s.comments.len(), 1);
-        assert_eq!(s.comments[0].offset, 0);
-        assert!(s.comments[0].text.contains("audit:allow(some-rule)"));
-        assert!(s.comments[0].text.ends_with("tail */"));
+        assert!(!s.text.contains("partial_cmp"));
+        assert!(!s.text.contains("tail"));
         assert!(
             s.text.contains("fn f() {}"),
             "code after the outer terminator survives"
-        );
-        assert!(
-            !s.text.contains("audit:allow"),
-            "the allow text is blanked from code view"
         );
     }
 

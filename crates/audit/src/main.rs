@@ -1,6 +1,6 @@
 //! CLI for the workspace static-analysis pass.
 //!
-//! Exit codes: 0 = clean, 1 = unsuppressed findings, 2 = usage or I/O
+//! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O
 //! error (matching the darklight CLI's convention; pinned by
 //! `tests/cli_exit.rs`).
 
@@ -13,7 +13,6 @@ use darklight_audit::driver;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Format {
     Human,
-    Json,
     Github,
 }
 
@@ -26,7 +25,7 @@ fn usage() -> String {
 darklight-audit — workspace static analysis
 
 USAGE:
-    darklight-audit check [--format <human|json|github>] [--json] [--root <path>]
+    darklight-audit check [--format <human|github>] [--root <path>]
     darklight-audit rules
 
 COMMANDS:
@@ -34,9 +33,8 @@ COMMANDS:
     rules    List the rule catalog
 
 OPTIONS:
-    --format <fmt>  Output: human (default), json (stable key order),
-                    or github (::error annotations for CI)
-    --json          Shorthand for --format json
+    --format <fmt>  Output: human (default) or github (::error
+                    annotations for CI)
     --root <path>   Workspace root (default: nearest [workspace] above cwd)
 
 RULES:
@@ -66,13 +64,11 @@ fn check(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--json" => format = Format::Json,
             "--format" => match it.next().map(String::as_str) {
                 Some("human") => format = Format::Human,
-                Some("json") => format = Format::Json,
                 Some("github") => format = Format::Github,
                 Some(other) => {
-                    eprintln!("error: unknown format {other:?} (human, json, github)\n");
+                    eprintln!("error: unknown format {other:?} (human, github)\n");
                     eprint!("{}", usage());
                     return ExitCode::from(2);
                 }
@@ -120,12 +116,11 @@ fn check(args: &[String]) -> ExitCode {
 
     match format {
         Format::Human => print!("{}", report.render_human()),
-        Format::Json => print!("{}", report.render_json()),
         Format::Github => print!("{}", report.render_github()),
     }
-    if report.unsuppressed().next().is_some() {
-        ExitCode::FAILURE
-    } else {
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

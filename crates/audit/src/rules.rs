@@ -1,20 +1,20 @@
-//! The rule catalog.
+//! The lexical rule catalog.
 //!
 //! Each rule is a [`Rule`] impl with a stable id, a path-based
 //! applicability gate, and a lexical check over a [`Scrubbed`] file.
 //! Rules report *raw* findings (byte offset + message); the driver
-//! resolves line/column, drops findings in test code for rules that only
-//! police production paths, and applies `audit:allow` suppressions.
+//! resolves line/column and drops findings in test code, which these
+//! rules do not police.
 
 use crate::lexer::Scrubbed;
 use crate::metric_registry::is_registered;
 
-/// A rule violation before suppression/test-code filtering.
+/// A rule violation before test-code filtering.
 #[derive(Debug)]
 pub struct RawFinding {
     /// Byte offset of the offending token.
     pub offset: usize,
-    /// Human explanation, including how to fix or annotate.
+    /// Human explanation, including how to fix it.
     pub message: String,
 }
 
@@ -25,21 +25,14 @@ pub struct FileCtx<'a> {
     pub rel_path: &'a str,
     /// Scrubbed view of the source.
     pub scrubbed: &'a Scrubbed,
-    /// Whether the whole file is test code (`tests/`, `benches/`).
-    pub file_is_test: bool,
 }
 
 /// One static-analysis rule.
 pub trait Rule {
-    /// Stable kebab-case id, used in output and `audit:allow(...)`.
+    /// Stable kebab-case id, used in output.
     fn id(&self) -> &'static str;
     /// One-line description for `darklight-audit rules`.
     fn description(&self) -> &'static str;
-    /// Whether findings inside `#[cfg(test)]` spans (and test files) are
-    /// ignored. Defaults to true: tests may unwrap, spawn, and clock.
-    fn skip_test_code(&self) -> bool {
-        true
-    }
     /// Path-level gate: whether the rule runs on this file at all.
     fn applies(&self, ctx: &FileCtx) -> bool;
     /// Scans the file, pushing raw findings.
@@ -49,70 +42,10 @@ pub trait Rule {
 /// The full catalog, in reporting order.
 pub fn catalog() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(NoNakedUnwrap),
         Box::new(NanSafeOrdering),
-        Box::new(NoAmbientTimeOrRand),
         Box::new(DeterministicIteration),
-        Box::new(SpawnThroughPar),
         Box::new(MetricNameRegistry),
     ]
-}
-
-fn push_matches(
-    ctx: &FileCtx,
-    out: &mut Vec<RawFinding>,
-    patterns: &[&str],
-    message: impl Fn(&str) -> String,
-) {
-    let mut matches: Vec<(usize, usize, &str)> = Vec::new();
-    for pat in patterns {
-        for offset in ctx.scrubbed.find_all(pat) {
-            matches.push((offset, offset + pat.len(), pat));
-        }
-    }
-    matches.sort_by_key(|&(start, end, _)| (start, std::cmp::Reverse(end)));
-    // Overlapping patterns (`std::thread` inside `std::thread::spawn`)
-    // must not double-report one site; keep the earliest/longest match.
-    let mut covered_to = 0usize;
-    for (start, end, pat) in matches {
-        if start < covered_to {
-            continue;
-        }
-        covered_to = end;
-        out.push(RawFinding {
-            offset: start,
-            message: message(pat),
-        });
-    }
-}
-
-/// `no-naked-unwrap`: `.unwrap()` / `.expect(...)` are forbidden in the
-/// attribution hot paths (`crates/core`, `crates/features`). A panic
-/// there kills a worker mid-batch; PR 3's failure model only isolates
-/// panics at designated boundaries.
-struct NoNakedUnwrap;
-
-impl Rule for NoNakedUnwrap {
-    fn id(&self) -> &'static str {
-        "no-naked-unwrap"
-    }
-    fn description(&self) -> &'static str {
-        "unwrap()/expect() forbidden in crates/core and crates/features production code"
-    }
-    fn applies(&self, ctx: &FileCtx) -> bool {
-        ctx.rel_path.starts_with("crates/core/src/")
-            || ctx.rel_path.starts_with("crates/features/src/")
-    }
-    fn check(&self, ctx: &FileCtx, out: &mut Vec<RawFinding>) {
-        push_matches(ctx, out, &[".unwrap()", ".expect("], |pat| {
-            format!(
-                "naked `{}` in a hot path: return a typed error, restructure to make the \
-                 failure impossible, or annotate with `// audit:allow(no-naked-unwrap) -- \
-                 <why the invariant holds>`",
-                pat.trim_end_matches('(')
-            )
-        });
-    }
 }
 
 /// `nan-safe-ordering`: every float comparison must go through the
@@ -131,48 +64,14 @@ impl Rule for NanSafeOrdering {
         !ctx.rel_path.starts_with("crates/order/src/")
     }
     fn check(&self, ctx: &FileCtx, out: &mut Vec<RawFinding>) {
-        push_matches(ctx, out, &["partial_cmp"], |_| {
-            "`partial_cmp` is not NaN-safe: use `darklight_order::cmp_f64_desc` / \
-             `cmp_f64_asc` / `cmp_desc_indexed` (the only blessed total orders)"
-                .to_string()
-        });
-    }
-}
-
-/// `no-ambient-time-or-rand`: reading the clock or an ambient RNG
-/// anywhere but the observability timers and the bench harness breaks
-/// reproducibility — byte-identical reruns are the whole point.
-struct NoAmbientTimeOrRand;
-
-impl Rule for NoAmbientTimeOrRand {
-    fn id(&self) -> &'static str {
-        "no-ambient-time-or-rand"
-    }
-    fn description(&self) -> &'static str {
-        "SystemTime::now/Instant::now/elapsed()/ambient RNG outside crates/obs and crates/bench"
-    }
-    fn applies(&self, ctx: &FileCtx) -> bool {
-        !ctx.rel_path.starts_with("crates/obs/src/") && !ctx.rel_path.starts_with("crates/bench/")
-    }
-    fn check(&self, ctx: &FileCtx, out: &mut Vec<RawFinding>) {
-        push_matches(
-            ctx,
-            out,
-            &[
-                "SystemTime::now",
-                "Instant::now",
-                ".elapsed(",
-                "thread_rng",
-                "rand::random",
-            ],
-            |pat| {
-                format!(
-                    "ambient `{pat}` makes runs irreproducible: thread time through \
-                     `darklight-obs` timers, seed RNGs explicitly, or annotate with \
-                     `// audit:allow(no-ambient-time-or-rand) -- <why output cannot depend on it>`"
-                )
-            },
-        );
+        for offset in ctx.scrubbed.find_all("partial_cmp") {
+            out.push(RawFinding {
+                offset,
+                message: "`partial_cmp` is not NaN-safe: use `darklight_order::cmp_f64_desc` / \
+                          `cmp_f64_asc` / `cmp_desc_indexed` (the only blessed total orders)"
+                    .to_string(),
+            });
+        }
     }
 }
 
@@ -268,36 +167,6 @@ fn fingerprint_fn_spans(scrubbed: &Scrubbed) -> Vec<(usize, usize)> {
     spans
 }
 
-/// `spawn-through-par`: all parallelism flows through `darklight-par`
-/// (panic isolation, thread-count invariance, the one `--threads` knob).
-/// Raw `std::thread` anywhere else forks the concurrency model.
-struct SpawnThroughPar;
-
-impl Rule for SpawnThroughPar {
-    fn id(&self) -> &'static str {
-        "spawn-through-par"
-    }
-    fn description(&self) -> &'static str {
-        "std::thread use outside darklight-par"
-    }
-    fn applies(&self, ctx: &FileCtx) -> bool {
-        !ctx.rel_path.starts_with("crates/par/src/")
-    }
-    fn check(&self, ctx: &FileCtx, out: &mut Vec<RawFinding>) {
-        push_matches(
-            ctx,
-            out,
-            &["std::thread", "thread::spawn", "thread::scope"],
-            |_| {
-                "raw thread use outside darklight-par: route the work through \
-                 `darklight_par::par_map`/`try_par_map` so panic isolation and \
-                 thread-count invariance hold"
-                    .to_string()
-            },
-        );
-    }
-}
-
 /// `metric-name-registry`: every metric name recorded through the obs
 /// handle must be a string literal found in
 /// [`crate::metric_registry::METRIC_REGISTRY`]. Catches typos that would
@@ -337,9 +206,8 @@ impl Rule for MetricNameRegistry {
                     None => out.push(RawFinding {
                         offset,
                         message: "dynamically built metric name cannot be checked against \
-                                  the registry: register every possible expansion and \
-                                  annotate with `// audit:allow(metric-name-registry) -- \
-                                  <how the name set is bounded>`"
+                                  the registry: pass a literal name (for a closed family, \
+                                  one literal per arm of an exhaustive `match`)"
                             .to_string(),
                     }),
                 }
@@ -357,7 +225,6 @@ mod tests {
         let ctx = FileCtx {
             rel_path,
             scrubbed: &scrubbed,
-            file_is_test: false,
         };
         let mut out = Vec::new();
         for rule in catalog() {
@@ -366,17 +233,6 @@ mod tests {
             }
         }
         out
-    }
-
-    #[test]
-    fn unwrap_rule_scopes_to_core_and_features() {
-        let src = "fn f() { x.unwrap(); y.expect(\"msg\"); z.unwrap_or(0); }";
-        assert_eq!(
-            findings_for("crates/core/src/a.rs", src, "no-naked-unwrap").len(),
-            2,
-            "unwrap_or must not count"
-        );
-        assert!(findings_for("crates/eval/src/a.rs", src, "no-naked-unwrap").is_empty());
     }
 
     #[test]
@@ -422,15 +278,6 @@ mod tests {
         let dynamic = "fn f(m: &M) { m.counter(&name).incr(); }";
         assert_eq!(
             findings_for("crates/core/src/a.rs", dynamic, "metric-name-registry").len(),
-            1
-        );
-    }
-
-    #[test]
-    fn spawn_rule_dedupes_overlapping_patterns() {
-        let src = "fn f() { std::thread::spawn(|| {}); }";
-        assert_eq!(
-            findings_for("crates/core/src/a.rs", src, "spawn-through-par").len(),
             1
         );
     }

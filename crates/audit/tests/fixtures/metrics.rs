@@ -11,9 +11,8 @@ fn negatives(m: &darklight_obs::PipelineMetrics) {
     let _doc = r#"counter("made.up.name") in a string is fine"#;
 }
 
-fn suppressed(m: &darklight_obs::PipelineMetrics, suffix: &str) {
-    m
-        // audit:allow(metric-name-registry) -- fixture: bounded by a closed enum
-        .counter(&format!("ingest.quarantined.{suffix}"))
-        .incr();
+fn formatted_family(m: &darklight_obs::PipelineMetrics, suffix: &str) {
+    // Still a finding, even for a closed family: record it through a
+    // `match` with one literal per arm instead.
+    m.counter(&format!("ingest.quarantined.{suffix}")).incr();
 }

@@ -19,10 +19,11 @@ fn fixture_root(name: &str) -> std::path::PathBuf {
 #[test]
 fn graph_fixture_fires_every_rule_at_pinned_spans() {
     let report = driver::run(&fixture_root("graph")).expect("fixture tree is readable");
-    assert_eq!(report.files_checked, 6);
+    assert_eq!(report.files_checked, 5);
 
     let errors: Vec<(String, usize, String)> = report
-        .unsuppressed()
+        .findings
+        .iter()
         .map(|f| (f.file.clone(), f.line, f.rule.clone()))
         .collect();
     let s = |v: &str| v.to_string();
@@ -41,7 +42,6 @@ fn graph_fixture_fires_every_rule_at_pinned_spans() {
                 7,
                 s("fingerprint-purity")
             ),
-            (s("crates/core/src/stale.rs"), 7, s("stale-suppression")),
             (s("crates/par/src/lib.rs"), 7, s("crate-layering")),
         ]
     );
@@ -53,8 +53,7 @@ fn graph_fixture_fires_every_rule_at_pinned_spans() {
     assert!(!errors
         .iter()
         .any(|(f, l, _)| f == "crates/core/src/batch.rs" && (*l == 11 || *l >= 17)));
-    assert!(!errors.iter().any(|(_, _, r)| r == "bad-suppression"));
-    let messages: Vec<&str> = report.unsuppressed().map(|f| f.message.as_str()).collect();
+    let messages: Vec<&str> = report.findings.iter().map(|f| f.message.as_str()).collect();
     assert!(
         messages.iter().any(|m| m.contains("Record -> SideCar")),
         "coverage finding shows the reachability path: {messages:?}"
@@ -64,21 +63,11 @@ fn graph_fixture_fires_every_rule_at_pinned_spans() {
             .contains("run_fingerprint -> mix -> stamp -> `resolve_threads` (thread-count read)")),
         "purity finding shows the contamination chain: {messages:?}"
     );
-
-    // The live allow in stale.rs suppresses both ambient findings on its
-    // line and is therefore NOT stale.
-    let suppressed: Vec<&driver::Finding> =
-        report.findings.iter().filter(|f| f.suppressed).collect();
-    assert_eq!(suppressed.len(), 2, "{suppressed:?}");
-    assert!(suppressed
-        .iter()
-        .all(|f| f.file == "crates/core/src/stale.rs" && f.line == 14));
 }
 
 #[test]
 fn clean_fixture_is_clean() {
     let report = driver::run(&fixture_root("clean")).expect("fixture tree is readable");
     assert_eq!(report.files_checked, 1);
-    assert_eq!(report.unsuppressed().count(), 0);
     assert!(report.findings.is_empty());
 }

@@ -1,9 +1,8 @@
 //! The metric-name registry must stay in lockstep with reality in both
 //! directions: every name the golden schema test pins must be
 //! registered, and every registered name must be anchored to a string
-//! literal somewhere in the workspace (or belong to the one documented
-//! dynamic family). CI runs this as the registry-consistency leg of the
-//! audit job.
+//! literal somewhere in the workspace. CI runs this as the
+//! registry-consistency leg of the audit job.
 
 use std::path::{Path, PathBuf};
 
@@ -97,11 +96,7 @@ fn every_registered_name_is_anchored_in_source() {
     }
     let orphans: Vec<&&str> = METRIC_REGISTRY
         .iter()
-        .filter(|name| {
-            // The quarantine family is emitted via format!(); its
-            // expansions are registered from the closed IssueKind enum.
-            !name.starts_with("ingest.quarantined.") && !corpus.contains(&format!("\"{name}\""))
-        })
+        .filter(|name| !corpus.contains(&format!("\"{name}\"")))
         .collect();
     assert!(
         orphans.is_empty(),
@@ -145,31 +140,6 @@ fn store_family_is_registered_and_anchored_in_the_store_crate() {
         assert!(
             recorded.iter().any(|r| r == **name),
             "registered metric {name:?} is not recorded by the store crate"
-        );
-    }
-}
-
-#[test]
-fn quarantine_expansions_match_the_issue_kind_enum() {
-    // The dynamic family ingest.quarantined.<kind> is bounded by
-    // IssueKind::label() in crates/corpus/src/io.rs; every label must be
-    // registered and every registered expansion must still be a label.
-    let io = workspace_root().join("crates/corpus/src/io.rs");
-    let source = std::fs::read_to_string(&io).expect("crates/corpus/src/io.rs exists");
-    let mut expansions: Vec<&str> = METRIC_REGISTRY
-        .iter()
-        .filter(|n| n.starts_with("ingest.quarantined."))
-        .map(|n| &n["ingest.quarantined.".len()..])
-        .collect();
-    expansions.sort_unstable();
-    assert!(
-        !expansions.is_empty(),
-        "quarantine family must be registered"
-    );
-    for kind in &expansions {
-        assert!(
-            source.contains(&format!("\"{kind}\"")),
-            "registered expansion ingest.quarantined.{kind} has no matching IssueKind label"
         );
     }
 }

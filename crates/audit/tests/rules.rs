@@ -1,7 +1,7 @@
 //! Fixture-driven golden tests: each fixture file under
-//! `tests/fixtures/` carries deliberate violations, string/comment
-//! false-positive traps, and `audit:allow` suppressions; the expected
-//! findings are pinned here as `(rule, line, suppressed)` triples.
+//! `tests/fixtures/` carries deliberate violations and string/comment
+//! false-positive traps; the expected findings are pinned here as
+//! `(rule, line)` pairs.
 
 use darklight_audit::check_source;
 
@@ -13,11 +13,11 @@ fn fixture(name: &str) -> String {
 }
 
 /// Runs a fixture as if it lived at `rel_path`, returning
-/// `(rule, line, suppressed)` triples sorted by line.
-fn triples(rel_path: &str, name: &str) -> Vec<(String, usize, bool)> {
-    let mut out: Vec<(String, usize, bool)> = check_source(rel_path, &fixture(name))
+/// `(rule, line)` pairs sorted by line.
+fn pairs(rel_path: &str, name: &str) -> Vec<(String, usize)> {
+    let mut out: Vec<(String, usize)> = check_source(rel_path, &fixture(name))
         .into_iter()
-        .map(|f| (f.rule, f.line, f.suppressed))
+        .map(|f| (f.rule, f.line))
         .collect();
     out.sort_by(|a, b| (a.1, &a.0).cmp(&(b.1, &b.0)));
     out
@@ -28,60 +28,15 @@ fn s(x: &str) -> String {
 }
 
 #[test]
-fn naked_unwrap_fixture() {
-    assert_eq!(
-        triples("crates/core/src/naked_unwrap.rs", "naked_unwrap.rs"),
-        vec![
-            (s("no-naked-unwrap"), 5, false),
-            (s("no-naked-unwrap"), 6, false),
-            // Doc-comment mention, string trap, and unwrap_or: no findings.
-            // cfg(test) module: no findings.
-            (s("no-naked-unwrap"), 19, true),
-        ]
-    );
-}
-
-#[test]
-fn unwrap_fixture_is_silent_outside_hot_paths() {
-    // The same violations in a crate outside core/features don't apply.
-    let findings = triples("crates/synth/src/naked_unwrap.rs", "naked_unwrap.rs");
-    assert!(
-        findings
-            .iter()
-            .all(|(rule, _, _)| rule != "no-naked-unwrap"),
-        "{findings:?}"
-    );
-}
-
-#[test]
 fn nan_ordering_fixture() {
     assert_eq!(
-        triples("crates/eval/src/nan_ordering.rs", "nan_ordering.rs"),
-        vec![
-            (s("nan-safe-ordering"), 5, false),
-            (s("nan-safe-ordering"), 15, true),
-        ]
+        pairs("crates/eval/src/nan_ordering.rs", "nan_ordering.rs"),
+        vec![(s("nan-safe-ordering"), 5), (s("nan-safe-ordering"), 15)]
     );
     // The blessed home is exempt.
-    assert!(triples("crates/order/src/lib.rs", "nan_ordering.rs")
+    assert!(pairs("crates/order/src/lib.rs", "nan_ordering.rs")
         .iter()
-        .all(|(rule, _, _)| rule != "nan-safe-ordering"));
-}
-
-#[test]
-fn ambient_fixture() {
-    assert_eq!(
-        triples("crates/core/src/ambient.rs", "ambient.rs"),
-        vec![
-            (s("no-ambient-time-or-rand"), 4, false),
-            (s("no-ambient-time-or-rand"), 5, false),
-            (s("no-ambient-time-or-rand"), 6, false),
-            (s("no-ambient-time-or-rand"), 7, false),
-        ]
-    );
-    // obs timers and the bench harness may read the clock.
-    assert!(triples("crates/obs/src/lib.rs", "ambient.rs").is_empty());
-    assert!(triples("crates/bench/src/experiments.rs", "ambient.rs").is_empty());
+        .all(|(rule, _)| rule != "nan-safe-ordering"));
 }
 
 #[test]
@@ -89,8 +44,8 @@ fn iteration_fixture() {
     // Only the HashMap inside the fingerprint fn fires; the `use` line,
     // the ordinary fn, and the BTreeMap fingerprint fn stay silent.
     assert_eq!(
-        triples("crates/core/src/iteration.rs", "iteration.rs"),
-        vec![(s("deterministic-iteration"), 6, false)]
+        pairs("crates/core/src/iteration.rs", "iteration.rs"),
+        vec![(s("deterministic-iteration"), 6)]
     );
 }
 
@@ -103,40 +58,13 @@ fn designated_snapshot_files_flag_hashmaps_anywhere() {
 }
 
 #[test]
-fn spawn_fixture() {
-    assert_eq!(
-        triples("crates/core/src/spawn.rs", "spawn.rs"),
-        vec![
-            (s("spawn-through-par"), 4, false),
-            (s("spawn-through-par"), 6, false),
-        ]
-    );
-    // darklight-par itself is the blessed home.
-    assert!(triples("crates/par/src/lib.rs", "spawn.rs").is_empty());
-}
-
-#[test]
 fn metrics_fixture() {
     assert_eq!(
-        triples("crates/core/src/metrics.rs", "metrics.rs"),
+        pairs("crates/core/src/metrics.rs", "metrics.rs"),
         vec![
-            (s("metric-name-registry"), 4, false),
-            (s("metric-name-registry"), 5, false),
-            (s("metric-name-registry"), 17, true),
-        ]
-    );
-}
-
-#[test]
-fn suppression_fixture() {
-    assert_eq!(
-        triples("crates/core/src/suppression.rs", "suppression.rs"),
-        vec![
-            (s("bad-suppression"), 4, false),
-            (s("no-naked-unwrap"), 5, false),
-            (s("bad-suppression"), 9, false),
-            (s("nan-safe-ordering"), 14, true),
-            (s("no-naked-unwrap"), 14, true),
+            (s("metric-name-registry"), 4),
+            (s("metric-name-registry"), 5),
+            (s("metric-name-registry"), 17),
         ]
     );
 }

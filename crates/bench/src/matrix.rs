@@ -564,6 +564,19 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_baseline_is_schema_mismatch_not_a_stack_overflow() {
+        let cur = report(0.9, 100.0, 300.0);
+        let nested = "[".repeat(100_000);
+        match check_cell("c", &nested, &cur, &CheckTolerance::default()).verdict {
+            CellVerdict::SchemaMismatch(detail) => {
+                assert!(detail.starts_with("unparseable baseline: "), "{detail}");
+                assert!(detail.contains("nesting"), "{detail}");
+            }
+            other => panic!("expected SchemaMismatch, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn deterministic_view_strips_only_throughput() {
         let r = report(0.9, 100.0, 300.0);
         let det = deterministic_view(&r);

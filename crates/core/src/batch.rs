@@ -542,15 +542,10 @@ where
             let threads = engine.config().effective_threads();
             *survivors =
                 darklight_par::par_map_deadline(survivors, threads, deadline, |u, pool| {
-                    batched_round(engine, batch_size, known, unknown, pool, Some(u), deadline).map(
-                        |pools| {
-                            pools
-                                .into_iter()
-                                .next()
-                                // audit:allow(no-naked-unwrap) -- batched_round with Some(u) returns exactly one pool by construction
-                                .expect("one unknown processed")
-                        },
-                    )
+                    // With `Some(u)` the round returns exactly one pool;
+                    // `concat` unwraps it without a panic path.
+                    batched_round(engine, batch_size, known, unknown, pool, Some(u), deadline)
+                        .map(|pools| pools.concat())
                 })
                 .map_err(|_| expired(*rounds_done))?
                 .into_iter()

@@ -530,10 +530,15 @@ fn record_ingest_metrics(metrics: &PipelineMetrics, report: &IngestReport) {
     ] {
         let n = report.count(kind) as u64;
         if n > 0 {
-            metrics
-                // audit:allow(metric-name-registry) -- suffix drawn from the closed IssueKind enum; every expansion is listed in the registry
-                .counter(&format!("ingest.quarantined.{}", kind.as_str()))
-                .add(n);
+            let counter = match kind {
+                IssueKind::BadHeader => metrics.counter("ingest.quarantined.bad_header"),
+                IssueKind::BadRecord => metrics.counter("ingest.quarantined.bad_record"),
+                IssueKind::OrphanRecord => metrics.counter("ingest.quarantined.orphan_record"),
+                IssueKind::UnparseableField => {
+                    metrics.counter("ingest.quarantined.unparseable_field")
+                }
+            };
+            counter.add(n);
         }
     }
 }

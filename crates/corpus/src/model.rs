@@ -46,7 +46,7 @@ impl Post {
 /// ages, cities, religions, political views, drug habits, vendor
 /// complaints, hobbies, devices, self-referenced aliases, reposted links).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
+#[expect(missing_docs, reason = "variant names are the fact kinds of §V-A")]
 pub enum FactKind {
     Age,
     City,

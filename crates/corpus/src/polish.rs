@@ -153,12 +153,14 @@ impl StepNanos {
 
 /// Runs `f`, adding its wall-clock to `acc` when `enabled`. Compiles to
 /// a plain call when metrics are off — the clock is never read.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock feeds obs step timers only; metrics are never read back by pipeline logic"
+)]
 fn timed<T>(enabled: bool, acc: &mut u64, f: impl FnOnce() -> T) -> T {
     if enabled {
-        // audit:allow(no-ambient-time-or-rand) -- wall-clock feeds obs step timers only; metrics are never read back by pipeline logic
         let start = Instant::now();
         let out = f();
-        // audit:allow(no-ambient-time-or-rand) -- reads back the same obs-only timer started above; never feeds pipeline logic
         *acc += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         out
     } else {

@@ -256,7 +256,6 @@ impl EstimateBytes for CountedDoc {
 /// Pre-resolved instruments for the vectorization hot path; all no-ops
 /// unless the extractor was given an enabled [`PipelineMetrics`].
 #[derive(Debug, Clone, Default)]
-// audit:allow(estimate-bytes-coverage) -- shared metric handles, not per-record data; the governor never counts instruments
 struct SpaceInstruments {
     /// Wall-clock per `vectorize_counted` call.
     vectorize: Timer,
@@ -264,6 +263,14 @@ struct SpaceInstruments {
     vectors: Counter,
     /// Total non-zero entries across produced vectors.
     nnz: Counter,
+}
+
+impl EstimateBytes for SpaceInstruments {
+    /// Zero: these are shared metric handles, not per-record data, so
+    /// the governor never counts them.
+    fn estimate_bytes(&self) -> u64 {
+        0
+    }
 }
 
 /// A fitted feature space: frozen vocabularies, IDF weights, and the block
@@ -280,12 +287,12 @@ pub struct FeatureSpace {
 
 impl EstimateBytes for FeatureSpace {
     fn estimate_bytes(&self) -> u64 {
-        // Instruments are shared handles, not per-space payload.
         self.config.estimate_bytes()
             + self.word_vocab.estimate_bytes()
             + self.word_tfidf.estimate_bytes()
             + self.char_vocab.estimate_bytes()
             + self.char_tfidf.estimate_bytes()
+            + self.instruments.estimate_bytes()
     }
 }
 

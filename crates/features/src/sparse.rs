@@ -40,32 +40,18 @@ impl SparseVector {
     pub fn from_pairs<I: IntoIterator<Item = (u32, f32)>>(pairs: I) -> SparseVector {
         let mut entries: Vec<(u32, f32)> = pairs.into_iter().collect();
         entries.sort_by_key(|&(i, _)| i);
-        let mut indices = Vec::with_capacity(entries.len());
-        let mut values: Vec<f32> = Vec::with_capacity(entries.len());
+        // Sum runs of equal indices.
+        let mut merged: Vec<(u32, f32)> = Vec::with_capacity(entries.len());
         for (i, v) in entries {
-            if let Some(&last) = indices.last() {
-                if last == i {
-                    // audit:allow(no-naked-unwrap) -- indices.last() is Some on this branch and values grows in lockstep
-                    *values.last_mut().expect("values tracks indices") += v;
-                    continue;
-                }
+            match merged.last_mut() {
+                Some((last, sum)) if *last == i => *sum += v,
+                _ => merged.push((i, v)),
             }
-            indices.push(i);
-            values.push(v);
         }
         // Drop zeros introduced by input or cancellation.
-        let mut out_i = Vec::with_capacity(indices.len());
-        let mut out_v = Vec::with_capacity(values.len());
-        for (i, v) in indices.into_iter().zip(values) {
-            if v != 0.0 {
-                out_i.push(i);
-                out_v.push(v);
-            }
-        }
-        SparseVector {
-            indices: out_i,
-            values: out_v,
-        }
+        merged.retain(|&(_, v)| v != 0.0);
+        let (indices, values) = merged.into_iter().unzip();
+        SparseVector { indices, values }
     }
 
     /// Number of stored (non-zero) entries.
@@ -171,8 +157,9 @@ impl SparseVector {
     pub fn concat(&mut self, other: &SparseVector, offset: u32) {
         if let (Some(&last), Some(&first)) = (self.indices.last(), other.indices.first()) {
             assert!(
-                // audit:allow(no-naked-unwrap) -- deliberate panic-on-overflow, documented under `# Panics` above
-                first.checked_add(offset).expect("index overflow") > last,
+                first
+                    .checked_add(offset)
+                    .is_some_and(|shifted| shifted > last),
                 "concat would break index ordering"
             );
         }

@@ -76,7 +76,10 @@ impl Deadline {
         // outputs: expiry discards the round's partial work and resumes
         // from the checkpoint, so the result bytes are clock-independent
         // (pinned by thread_parity).
-        // audit:allow(no-ambient-time-or-rand) -- stop-time only, output bytes never depend on the clock
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "stop-time only, output bytes never depend on the clock"
+        )]
         let start = Instant::now();
         Deadline {
             inner: Some(Arc::new(Inner::Timer {
@@ -118,7 +121,10 @@ impl Deadline {
                 }
                 // Same invariant as `after`: the clock gates stopping,
                 // never output bytes.
-                // audit:allow(no-ambient-time-or-rand) -- elapsed() gates stopping only; results are discarded wholesale on expiry
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "elapsed() gates stopping only; results are discarded wholesale on expiry"
+                )]
                 let expired = start.elapsed() >= *limit;
                 if expired {
                     tripped.store(true, Ordering::Relaxed);

@@ -10,8 +10,7 @@
 //! The backoff jitter is derived purely from `(seed, site, attempt)`
 //! with a SplitMix64 mix — no ambient RNG — so a retried run sleeps the
 //! exact same schedule every time. Callers pass the run fingerprint as
-//! the seed, which keeps the whole failure model reproducible and the
-//! `no-ambient-time-or-rand` audit rule intact.
+//! the seed, which keeps the whole failure model reproducible.
 
 use crate::Fnv1a;
 use darklight_obs::PipelineMetrics;
@@ -121,7 +120,6 @@ pub fn with_retry<T, E>(
                 metrics.counter("govern.io_retries").incr();
                 let delay = policy.delay(site, seed, attempt);
                 if !delay.is_zero() {
-                    // audit:allow(spawn-through-par) -- backoff sleep on the calling thread, not a thread spawn
                     std::thread::sleep(delay);
                 }
                 attempt += 1;

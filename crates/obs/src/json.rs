@@ -178,7 +178,10 @@ impl Json {
     /// Numbers parse as [`Json::UInt`] when they are non-negative
     /// integers, [`Json::Int`] for negative integers, and [`Json::Float`]
     /// otherwise — the same partition the writer emits (a `Float` always
-    /// carries a `.` or exponent). Trailing non-whitespace is an error.
+    /// carries a `.` or exponent). Trailing non-whitespace is an error,
+    /// and so is nesting arrays/objects more than [`MAX_PARSE_DEPTH`]
+    /// levels deep (the parser recurses once per level, so unbounded
+    /// nesting would overflow the stack).
     ///
     /// # Errors
     ///
@@ -188,6 +191,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -199,9 +203,15 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Every
+/// document this workspace writes nests at most a few levels.
+pub const MAX_PARSE_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -246,12 +256,27 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.error("unexpected character")),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, refusing to open more than
+    /// [`MAX_PARSE_DEPTH`] levels.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonParseError>,
+    ) -> Result<Json, JsonParseError> {
+        if self.depth == MAX_PARSE_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_PARSE_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonParseError> {
@@ -516,6 +541,18 @@ mod tests {
         }
         let err = Json::parse("[1, @]").unwrap_err();
         assert_eq!(err.offset, 4);
+    }
+
+    #[test]
+    fn parse_refuses_nesting_beyond_the_limit() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nest(MAX_PARSE_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_PARSE_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_PARSE_DEPTH);
+        assert!(err.reason.contains("nesting"), "{err}");
+        // Deep enough to overflow the stack without the limit.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -207,6 +207,10 @@ pub struct Timer {
 impl Timer {
     /// Starts a monotonic measurement; the returned guard records the
     /// elapsed time when dropped.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "obs timers measure wall time for metrics only; metrics never steer results"
+    )]
     pub fn start(&self) -> ScopedTimer {
         ScopedTimer {
             armed: self
@@ -292,6 +296,10 @@ impl ScopedTimer {
         self.armed = None;
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "obs timers measure wall time for metrics only; metrics never steer results"
+    )]
     fn finish(&mut self) {
         if let Some((start, cell)) = self.armed.take() {
             cell.record_ns(saturating_ns(start.elapsed()));

@@ -310,6 +310,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs real threads racing on one registry"
+    )]
     fn concurrent_updates_do_not_lose_counts() {
         let reg = Registry::new();
         std::thread::scope(|scope| {

@@ -99,6 +99,10 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// let squares = darklight_par::par_map(&[1, 2, 3, 4, 5], 3, |i, &x| (i, x * x));
 /// assert_eq!(squares, vec![(0, 1), (1, 4), (2, 9), (3, 16), (4, 25)]);
 /// ```
+#[expect(
+    clippy::disallowed_methods,
+    reason = "darklight-par is the one home of raw threads"
+)]
 pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -191,6 +195,10 @@ where
 /// # Errors
 ///
 /// [`Expired`] when the deadline passed before the map completed.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "darklight-par is the one home of raw threads"
+)]
 pub fn par_map_deadline<T, R, F>(
     items: &[T],
     threads: usize,

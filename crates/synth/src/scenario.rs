@@ -476,7 +476,10 @@ impl ScenarioBuilder {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one user's generation knobs, passed straight through"
+    )]
     fn generate_user(
         &self,
         rng: &mut StdRng,

@@ -18,7 +18,7 @@ use std::fmt;
 
 /// Languages with built-in profiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
+#[expect(missing_docs, reason = "variant names are the language names")]
 pub enum Lang {
     English,
     Spanish,
