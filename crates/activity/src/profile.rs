@@ -87,12 +87,6 @@ impl ProfilePolicy {
         self.min_timestamps = min;
         self
     }
-
-    /// Returns a copy with the given forum-to-UTC offset in seconds.
-    pub fn with_utc_offset_secs(mut self, secs: i64) -> ProfilePolicy {
-        self.utc_offset_secs = secs;
-        self
-    }
 }
 
 /// A normalized 24-bin daily activity profile.
@@ -393,7 +387,10 @@ mod tests {
         assert_eq!(p.peak_hour(), 23);
         // A +2h forum clock correction rolls 23:00 into 01:00 the next day
         // (which is Thursday, still a weekday).
-        let b2 = ProfileBuilder::new(ProfilePolicy::default().with_utc_offset_secs(2 * 3600));
+        let b2 = ProfileBuilder::new(ProfilePolicy {
+            utc_offset_secs: 2 * 3600,
+            ..ProfilePolicy::default()
+        });
         let p2 = b2.build(&ts).unwrap();
         assert_eq!(p2.peak_hour(), 1);
     }

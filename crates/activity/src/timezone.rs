@@ -22,13 +22,6 @@ pub struct ShiftMatch {
     pub unshifted_similarity: f64,
 }
 
-impl ShiftMatch {
-    /// How much the best alignment improves over no alignment.
-    pub fn gain(&self) -> f64 {
-        self.similarity - self.unshifted_similarity
-    }
-}
-
 /// Finds the circular shift of `b` (in whole hours) that maximizes cosine
 /// similarity with `a`.
 ///
@@ -92,7 +85,7 @@ mod tests {
         let m = infer_shift(&a, &a);
         assert_eq!(m.shift_hours, 0);
         assert!((m.similarity - 1.0).abs() < 1e-12);
-        assert_eq!(m.gain(), 0.0);
+        assert_eq!(m.similarity, m.unshifted_similarity);
     }
 
     #[test]
@@ -111,7 +104,7 @@ mod tests {
         let a = profile(&[(9, 10), (10, 8)]);
         let b = a.rotate(7);
         let m = infer_shift(&a, &b);
-        assert!(m.gain() > 0.9);
+        assert!(m.similarity - m.unshifted_similarity > 0.9);
     }
 
     #[test]

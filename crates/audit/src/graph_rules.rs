@@ -220,7 +220,7 @@ impl GraphRule for DeadlineCooperation {
                         offset,
                         message: format!(
                             "bare `{}` in a governed stage cannot be interrupted: use \
-                             `par_map_deadline` (deadline-aware) or `try_par_map*` \
+                             `par_map_deadline` (deadline-aware) or `try_par_map` \
                              (panic-isolating) so the stage stays cooperative",
                             pattern.trim_end_matches('(')
                         ),

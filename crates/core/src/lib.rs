@@ -34,7 +34,6 @@ pub mod artifact;
 pub mod attrib;
 pub mod baseline;
 pub mod batch;
-pub mod calibrate;
 pub mod checkpoint;
 pub mod confidence;
 pub mod dataset;
@@ -45,7 +44,6 @@ pub mod twostage;
 pub use artifact::FitArtifact;
 pub use attrib::CandidateIndex;
 pub use batch::{BatchConfig, BatchError, CheckpointSpec};
-pub use calibrate::{calibrate_threshold, Calibration};
 pub use confidence::MatchConfidence;
 pub use dataset::{Dataset, DatasetBuilder, Record};
 pub use explain::{explain_pair, MatchExplanation};

@@ -18,6 +18,7 @@ use darklight_obs::PipelineMetrics;
 use std::error::Error;
 use std::fmt;
 use std::io::{BufRead, Write};
+use std::string::FromUtf8Error;
 
 /// Errors produced while reading the TSV format.
 #[derive(Debug)]
@@ -106,6 +107,34 @@ fn strip_bom(s: &str) -> &str {
     s.strip_prefix('\u{feff}').unwrap_or(s)
 }
 
+/// Quarantine reason for a line that is not valid UTF-8.
+const NOT_UTF8: &str = "line is not valid UTF-8";
+
+/// The input's lines, split exactly as [`BufRead::lines`] splits them, but
+/// a line that is not valid UTF-8 comes back as `Ok(Err(..))` rather than
+/// as an I/O error — so a reader can tell one bad line from a failing
+/// stream and keep going.
+fn lines<R: BufRead>(
+    mut r: R,
+) -> impl Iterator<Item = std::io::Result<Result<String, FromUtf8Error>>> {
+    std::iter::from_fn(move || {
+        let mut buf = Vec::new();
+        match r.read_until(b'\n', &mut buf) {
+            Ok(0) => None,
+            Ok(_) => {
+                if buf.last() == Some(&b'\n') {
+                    buf.pop();
+                    if buf.last() == Some(&b'\r') {
+                        buf.pop();
+                    }
+                }
+                Some(Ok(String::from_utf8(buf)))
+            }
+            Err(e) => Some(Err(e)),
+        }
+    })
+}
+
 fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -169,7 +198,8 @@ pub enum IssueKind {
     /// preceding `U` line was itself quarantined).
     OrphanRecord,
     /// A record whose shape is right but a field does not parse (persona
-    /// or timestamp not an integer, unknown fact kind).
+    /// or timestamp not an integer, unknown fact kind), or a line that is
+    /// not valid UTF-8.
     UnparseableField,
 }
 
@@ -335,22 +365,28 @@ fn parse_record_line(line: &str, has_user: bool) -> Result<RecordLine, (IssueKin
 /// Returns [`ReadError`] on I/O failure, a bad header, or malformed record
 /// lines.
 pub fn read_corpus<R: BufRead>(r: R) -> Result<Corpus, ReadError> {
-    let mut lines = r.lines().enumerate();
+    let mut lines = lines(r).enumerate();
     let (_, header) = lines
         .next()
         .ok_or_else(|| ReadError::BadHeader("<empty input>".into()))?;
-    let header = header?;
+    let header =
+        header?.map_err(|e| ReadError::BadHeader(String::from_utf8_lossy(e.as_bytes()).into()))?;
     let name = strip_bom(&header)
         .strip_prefix("#darklight-corpus v1 ")
         .ok_or_else(|| ReadError::BadHeader(header.clone()))?;
     let mut corpus = Corpus::new(unescape(name));
     for (idx, line) in lines {
-        let line = line?;
         // `idx` counts from the header at 0, so the 1-based file line of
         // this record is `idx + 1` — with no further increment (a record
         // on file line 2 is reported as line 2, pinned by a regression
         // test).
         let lineno = idx + 1;
+        let Ok(line) = line? else {
+            return Err(ReadError::BadRecord {
+                line: lineno,
+                reason: NOT_UTF8.to_string(),
+            });
+        };
         if line.is_empty() {
             continue;
         }
@@ -391,8 +427,9 @@ pub fn read_corpus<R: BufRead>(r: R) -> Result<Corpus, ReadError> {
 /// A bad or missing header is itself quarantined (the corpus is named
 /// `<unnamed>` and line 1 is retried as a record line). `F`/`P` lines
 /// following a *quarantined* `U` line are quarantined as orphans rather
-/// than mis-attached to the previous user. Quarantine activity is
-/// recorded in `config.metrics` under `ingest.*`.
+/// than mis-attached to the previous user. A line that is not valid
+/// UTF-8 is quarantined like any other bad line and reading goes on.
+/// Quarantine activity is recorded in `config.metrics` under `ingest.*`.
 ///
 /// # Errors
 ///
@@ -411,7 +448,7 @@ pub fn read_corpus_lenient<R: BufRead>(
     // line is quarantined so its F/P lines orphan instead of attaching to
     // the wrong user.
     let mut last_user_ok = false;
-    let mut lines = r.lines().enumerate();
+    let mut lines = lines(r).enumerate();
     let mut pending_first: Option<(usize, String)> = None;
     match lines.next() {
         None => report.issues.push(IngestIssue {
@@ -424,7 +461,15 @@ pub fn read_corpus_lenient<R: BufRead>(
             kind: IssueKind::BadHeader,
             reason: format!("i/o error: {e}"),
         }),
-        Some((_, Ok(header))) => {
+        Some((_, Ok(Err(_)))) => {
+            report.lines_total += 1;
+            report.issues.push(IngestIssue {
+                line: 1,
+                kind: IssueKind::BadHeader,
+                reason: NOT_UTF8.to_string(),
+            });
+        }
+        Some((_, Ok(Ok(header)))) => {
             report.lines_total += 1;
             match strip_bom(&header).strip_prefix("#darklight-corpus v1 ") {
                 Some(name) => corpus.name = unescape(name),
@@ -441,7 +486,7 @@ pub fn read_corpus_lenient<R: BufRead>(
             }
         }
     }
-    let first = pending_first.into_iter().map(|(n, l)| (n, Ok(l)));
+    let first = pending_first.into_iter().map(|(n, l)| (n, Ok(Ok(l))));
     for (lineno, line) in first.chain(lines.map(|(idx, l)| (idx + 1, l))) {
         let line = match line {
             Ok(line) => line,
@@ -455,11 +500,15 @@ pub fn read_corpus_lenient<R: BufRead>(
                 break;
             }
         };
-        if line.is_empty() {
+        if matches!(&line, Ok(l) if l.is_empty()) {
             continue;
         }
         report.lines_total += 1;
-        match parse_record_line(&line, last_user_ok) {
+        let parsed = match &line {
+            Ok(l) => parse_record_line(l, last_user_ok),
+            Err(_) => Err((IssueKind::UnparseableField, NOT_UTF8.to_string())),
+        };
+        match parsed {
             Ok(RecordLine::User(user)) => {
                 corpus.users.push(user);
                 last_user_ok = true;
@@ -486,7 +535,11 @@ pub fn read_corpus_lenient<R: BufRead>(
             Err((kind, reason)) => {
                 // A quarantined U line must not leave its F/P lines
                 // attaching to the previous user.
-                if line == "U" || line.starts_with("U\t") {
+                let bytes = match &line {
+                    Ok(l) => l.as_bytes(),
+                    Err(e) => e.as_bytes(),
+                };
+                if bytes == b"U" || bytes.starts_with(b"U\t") {
                     last_user_ok = false;
                 }
                 report.issues.push(IngestIssue {
@@ -626,6 +679,8 @@ mod tests {
         assert!(matches!(err, ReadError::BadHeader(_)));
         let err = read_corpus("".as_bytes()).unwrap_err();
         assert!(matches!(err, ReadError::BadHeader(_)));
+        let err = read_corpus(&b"#darklight-corpus v1 \xff\n"[..]).unwrap_err();
+        assert!(matches!(err, ReadError::BadHeader(_)));
     }
 
     #[test]
@@ -685,6 +740,58 @@ mod tests {
             ReadError::BadRecord { line, .. } => assert_eq!(line, 4),
             other => panic!("expected BadRecord, got {other:?}"),
         }
+        // A line that is not UTF-8 is a bad record too, not an I/O error.
+        match read_corpus(corpus_with_a_non_utf8_line().as_slice()).unwrap_err() {
+            ReadError::BadRecord { line, reason } => {
+                assert_eq!((line, reason.as_str()), (4, NOT_UTF8))
+            }
+            other => panic!("expected BadRecord, got {other:?}"),
+        }
+    }
+
+    /// A corpus whose line 4 holds one byte that is not UTF-8, followed
+    /// by a second user with 40 posts.
+    fn corpus_with_a_non_utf8_line() -> Vec<u8> {
+        let mut data = b"#darklight-corpus v1 x\nU\talice\t1\n".to_vec();
+        data.extend_from_slice(b"P\t1486375200\tmisc\thello alice\n");
+        data.extend_from_slice(b"P\t1486375260\tmisc\tbroken \xff byte\n");
+        data.extend_from_slice(b"U\tbob\t2\n");
+        for i in 0..40 {
+            data.extend_from_slice(
+                format!("P\t{}\tmisc\tbob post {i}\n", 1486375300 + i).as_bytes(),
+            );
+        }
+        data
+    }
+
+    #[test]
+    fn lenient_quarantines_a_non_utf8_line_and_keeps_reading() {
+        let data = corpus_with_a_non_utf8_line();
+        let (corpus, report) =
+            read_corpus_lenient(data.as_slice(), &LenientConfig::default()).unwrap();
+        assert_eq!(
+            report.issues,
+            [IngestIssue {
+                line: 4,
+                kind: IssueKind::UnparseableField,
+                reason: NOT_UTF8.to_string(),
+            }]
+        );
+        assert_eq!(report.lines_total, 45);
+        assert_eq!(corpus.len(), 2);
+        assert_eq!(corpus.users[0].posts.len(), 1);
+        assert_eq!(corpus.users[1].alias, "bob");
+        assert_eq!(corpus.users[1].posts.len(), 40);
+    }
+
+    #[test]
+    fn non_utf8_user_line_orphans_its_records() {
+        let data = b"#darklight-corpus v1 x\nU\talice\t1\nU\t\xff\t2\nP\t1\tt\tnot alice's\n";
+        let (corpus, report) = read_corpus_lenient(&data[..], &LenientConfig::default()).unwrap();
+        assert_eq!(corpus.len(), 1);
+        assert!(corpus.users[0].posts.is_empty());
+        assert_eq!(report.count(IssueKind::UnparseableField), 1);
+        assert_eq!(report.count(IssueKind::OrphanRecord), 1);
     }
 
     #[test]

@@ -209,156 +209,3 @@ mod tests {
         assert!((stats[0].message_share - 1.0).abs() < 1e-12);
     }
 }
-
-/// A rank-frequency point of the corpus vocabulary (Zipf plot data).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankFrequency {
-    /// 1-based frequency rank.
-    pub rank: usize,
-    /// The word.
-    pub word: String,
-    /// Total occurrences across the corpus.
-    pub count: u64,
-}
-
-/// Rank-frequency table of the corpus's word unigrams, most frequent
-/// first, truncated to `top`. Natural-language corpora follow Zipf's law
-/// (count ∝ 1/rank); the synthetic generator is validated against this
-/// shape.
-pub fn rank_frequency(corpus: &Corpus, top: usize) -> Vec<RankFrequency> {
-    let mut counts: std::collections::HashMap<String, u64> = std::collections::HashMap::new();
-    for user in &corpus.users {
-        for post in &user.posts {
-            for w in darklight_text::token::words(&post.text) {
-                *counts.entry(w).or_insert(0) += 1;
-            }
-        }
-    }
-    let mut items: Vec<(String, u64)> = counts.into_iter().collect();
-    items.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    items.truncate(top);
-    items
-        .into_iter()
-        .enumerate()
-        .map(|(i, (word, count))| RankFrequency {
-            rank: i + 1,
-            word,
-            count,
-        })
-        .collect()
-}
-
-/// Type-token ratio of one user's full text: distinct words / total
-/// words. Falls with text length (Heaps' law); useful to spot bots (ratio
-/// near zero) and copy-paste spam.
-pub fn type_token_ratio(user: &crate::model::User) -> f64 {
-    let words = darklight_text::token::words(&user.full_text());
-    if words.is_empty() {
-        return 0.0;
-    }
-    let distinct: std::collections::HashSet<&String> = words.iter().collect();
-    distinct.len() as f64 / words.len() as f64
-}
-
-/// Per-message word-count distribution summary for a corpus.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LengthSummary {
-    /// Number of messages measured.
-    pub messages: usize,
-    /// Mean words per message.
-    pub mean: f64,
-    /// Median words per message.
-    pub median: u64,
-    /// 90th percentile.
-    pub p90: u64,
-    /// Maximum.
-    pub max: u64,
-}
-
-/// Summarizes message lengths (the basis of the paper's observation that
-/// TMG messages are "longer than average and more digressive").
-pub fn message_length_summary(corpus: &Corpus) -> Option<LengthSummary> {
-    let mut lengths: Vec<u64> = corpus
-        .users
-        .iter()
-        .flat_map(|u| &u.posts)
-        .map(|p| darklight_text::token::word_count(&p.text) as u64)
-        .collect();
-    if lengths.is_empty() {
-        return None;
-    }
-    lengths.sort_unstable();
-    let n = lengths.len();
-    let sum: u64 = lengths.iter().sum();
-    Some(LengthSummary {
-        messages: n,
-        mean: sum as f64 / n as f64,
-        median: lengths[n / 2],
-        p90: lengths[(n * 9 / 10).min(n - 1)],
-        max: lengths[n - 1],
-    })
-}
-
-#[cfg(test)]
-mod extended_stats_tests {
-    use super::*;
-    use crate::model::{Post, User};
-
-    fn corpus_with_posts(posts: &[&str]) -> Corpus {
-        let mut c = Corpus::new("t");
-        let mut u = User::new("u", None);
-        for (i, p) in posts.iter().enumerate() {
-            u.posts.push(Post::new(*p, i as i64));
-        }
-        c.users.push(u);
-        c
-    }
-
-    #[test]
-    fn rank_frequency_sorted_and_truncated() {
-        let c = corpus_with_posts(&["the the the cat cat dog"]);
-        let rf = rank_frequency(&c, 2);
-        assert_eq!(rf.len(), 2);
-        assert_eq!(rf[0].word, "the");
-        assert_eq!(rf[0].count, 3);
-        assert_eq!(rf[0].rank, 1);
-        assert_eq!(rf[1].word, "cat");
-    }
-
-    #[test]
-    fn rank_frequency_empty_corpus() {
-        assert!(rank_frequency(&Corpus::new("e"), 5).is_empty());
-    }
-
-    #[test]
-    fn type_token_ratio_values() {
-        let mut u = User::new("u", None);
-        u.posts.push(Post::new("one two three", 0));
-        assert!((type_token_ratio(&u) - 1.0).abs() < 1e-12);
-        u.posts.push(Post::new("one one one", 1));
-        assert!((type_token_ratio(&u) - 0.5).abs() < 1e-12);
-        assert_eq!(type_token_ratio(&User::new("empty", None)), 0.0);
-    }
-
-    #[test]
-    fn length_summary_statistics() {
-        let c = corpus_with_posts(&[
-            "one",
-            "one two",
-            "one two three",
-            "one two three four",
-            "one two three four five six seven eight nine ten",
-        ]);
-        let s = message_length_summary(&c).unwrap();
-        assert_eq!(s.messages, 5);
-        assert_eq!(s.median, 3);
-        assert_eq!(s.max, 10);
-        assert!((s.mean - 4.0).abs() < 1e-12);
-        assert!(s.p90 >= s.median);
-    }
-
-    #[test]
-    fn length_summary_empty() {
-        assert!(message_length_summary(&Corpus::new("e")).is_none());
-    }
-}

@@ -1,12 +1,13 @@
 //! Property-based tests for the corpus layer.
 
 use darklight_activity::profile::{ProfileBuilder, ProfilePolicy};
-use darklight_corpus::io::{read_corpus, write_corpus};
+use darklight_corpus::io::{read_corpus, read_corpus_lenient, write_corpus, LenientConfig};
 use darklight_corpus::model::{Corpus, Fact, FactKind, Post, User};
 use darklight_corpus::polish::{PolishConfig, Polisher};
 use darklight_corpus::refine::{split_user, AlterEgoConfig};
 use darklight_corpus::stats::{cdf_at, cdf_of_sorted};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn fact_kind_strategy() -> impl Strategy<Value = FactKind> {
     prop_oneof![
@@ -122,5 +123,80 @@ proptest! {
         // Evaluation brackets.
         prop_assert_eq!(cdf_at(&cdf, 0u64.wrapping_sub(0)), cdf_at(&cdf, 0));
         prop_assert!((cdf_at(&cdf, 10_000) - 1.0).abs() < 1e-12);
+    }
+}
+
+/// Fragments that are each meaningful to the TSV readers — headers,
+/// record tags, field separators, integers that do and do not fit,
+/// escapes, a byte-order mark and bytes that are not UTF-8 — so random
+/// sequences reach every branch instead of failing on line 1.
+const TOKENS: &[&[u8]] = &[
+    b"#darklight-corpus v1 ",
+    b"#darklight-corpus v2 ",
+    b"\xef\xbb\xbf",
+    b"U",
+    b"F",
+    b"P",
+    b"Z",
+    b"\t",
+    b"\n",
+    b"\r\n",
+    b"\r",
+    b"-",
+    b"42",
+    b"-7",
+    b"18446744073709551616",
+    b"city",
+    b"alias_ref",
+    b"not_a_kind",
+    b"\\",
+    b"\\t",
+    b"alice",
+    b"\xff",
+    b"\xc3",
+    b"\xc3\xa9",
+    b"\0",
+];
+
+fn token_soup() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(0usize..TOKENS.len(), 0..120).prop_map(|picks| {
+        picks
+            .into_iter()
+            .flat_map(|i| TOKENS[i].iter().copied())
+            .collect()
+    })
+}
+
+/// Runs both readers on `input`, failing the case (rather than the
+/// process) if either panics. Any `Ok` or typed `ReadError` passes; a
+/// corpus the strict reader accepts must also load leniently, unchanged
+/// and with nothing quarantined.
+fn ingest_never_panics(input: &[u8]) -> Result<(), String> {
+    let strict = catch_unwind(|| read_corpus(input))
+        .map_err(|_| format!("read_corpus panicked on {input:?}"))?;
+    let lenient = catch_unwind(AssertUnwindSafe(|| {
+        read_corpus_lenient(input, &LenientConfig::default())
+    }))
+    .map_err(|_| format!("read_corpus_lenient panicked on {input:?}"))?;
+    if let Ok(corpus) = strict {
+        match lenient {
+            Ok((lax, report)) if lax == corpus && report.is_clean() => {}
+            other => return Err(format!("strict accepted {input:?}, lenient gave {other:?}")),
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_readers(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
+        ingest_never_panics(&bytes)?;
+    }
+
+    #[test]
+    fn token_soup_never_panics_the_readers(input in token_soup()) {
+        ingest_never_panics(&input)?;
     }
 }

@@ -169,6 +169,18 @@ mod tests {
     }
 
     #[test]
+    fn nan_scores_never_become_an_operating_point() {
+        // A NaN best-match score must not stop calibration: the sweep ends
+        // before it, and the recall target is met at the real score above.
+        let labeled = vec![l(0.9, true), l(f64::NAN, true)];
+        let c = PrCurve::from_labeled(&labeled);
+        assert_eq!(c.points().len(), 1);
+        let p = c.threshold_for_recall(0.5).expect("0.9 reaches recall 0.5");
+        assert_eq!((p.threshold, p.precision, p.recall), (0.9, 1.0, 0.5));
+        assert!(c.threshold_for_recall(0.75).is_none());
+    }
+
+    #[test]
     fn perfect_ranking_gives_auc_one() {
         let labeled = vec![l(0.9, true), l(0.8, true), l(0.2, false), l(0.1, false)];
         let c = PrCurve::from_labeled(&labeled);

@@ -1,9 +1,7 @@
 //! Property-based tests for the evaluation layer.
 
-use darklight_eval::bootstrap::{precision_recall_interval, BootstrapConfig};
 use darklight_eval::curve::PrCurve;
 use darklight_eval::metrics::{precision_recall_at, LabeledScore};
-use darklight_eval::roc::RocCurve;
 use proptest::prelude::*;
 
 fn labeled_strategy() -> impl Strategy<Value = Vec<LabeledScore>> {
@@ -58,39 +56,6 @@ proptest! {
                     prop_assert!(q.recall < target);
                 }
             }
-        }
-    }
-
-    /// ROC curves: TPR and FPR are monotone, bounded, and AUC ∈ [0, 1].
-    #[test]
-    fn roc_invariants(labeled in labeled_strategy()) {
-        let c = RocCurve::from_labeled(&labeled);
-        let mut prev = (0.0f64, 0.0f64);
-        for p in c.points() {
-            prop_assert!((0.0..=1.0).contains(&p.tpr));
-            prop_assert!((0.0..=1.0).contains(&p.fpr));
-            prop_assert!(p.tpr >= prev.0 - 1e-12);
-            prop_assert!(p.fpr >= prev.1 - 1e-12);
-            prev = (p.tpr, p.fpr);
-        }
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&c.auc()));
-        if let Some((eer, _)) = c.equal_error_rate() {
-            prop_assert!((0.0..=1.0).contains(&eer));
-        }
-    }
-
-    /// Bootstrap intervals bracket the point estimate and stay in [0, 1].
-    #[test]
-    fn bootstrap_brackets_estimate(labeled in labeled_strategy(), t in 0.0f64..1.0) {
-        let cfg = BootstrapConfig {
-            resamples: 50,
-            ..BootstrapConfig::default()
-        };
-        let (p, r) = precision_recall_interval(&labeled, t, &cfg);
-        for i in [p, r] {
-            prop_assert!(i.lower <= i.upper + 1e-12);
-            prop_assert!((0.0..=1.0).contains(&i.lower));
-            prop_assert!((0.0..=1.0).contains(&i.upper));
         }
     }
 }

@@ -1,11 +1,12 @@
 //! The end-to-end feature extractor (Table II).
 //!
 //! [`PreparedDoc`] performs the per-user work that does not depend on the
-//! candidate set (tokenize, lemmatize, char-class counts). A
-//! [`FeatureExtractor`] is then *fitted* on a set of documents — ranking
-//! n-grams by corpus frequency, selecting the top N per family, and
-//! computing IDF — producing a [`FeatureSpace`] that vectorizes any
-//! document into the concatenated, L2-normalized feature vector:
+//! candidate set (tokenize, lemmatize, char-class counts), and
+//! [`CountedDoc`] counts its n-grams once. A [`FeatureExtractor`] is then
+//! *fitted* on a set of counted documents — ranking n-grams by corpus
+//! frequency, selecting the top N per family, and computing IDF —
+//! producing a [`FeatureSpace`] that vectorizes any counted document into
+//! the concatenated, L2-normalized feature vector:
 //!
 //! ```text
 //! [ word 1–3-grams | char 1–5-grams | 42 char-class slots | 24-bin activity ]
@@ -85,12 +86,6 @@ impl FeatureConfig {
     /// only" configuration of Table III and Fig. 4.
     pub fn without_activity(mut self) -> FeatureConfig {
         self.activity_weight = 0.0;
-        self
-    }
-
-    /// Returns a copy with the given activity weight.
-    pub fn with_activity_weight(mut self, w: f32) -> FeatureConfig {
-        self.activity_weight = w;
         self
     }
 }
@@ -365,31 +360,7 @@ impl FeatureExtractor {
         space
     }
 
-    /// Fits the vocabularies and IDF weights on `docs` (the paper fits on
-    /// the *known* author set, then vectorizes knowns and unknowns in that
-    /// space).
-    pub fn fit<'a, I>(&self, docs: I) -> FeatureSpace
-    where
-        I: IntoIterator<Item = &'a PreparedDoc>,
-    {
-        let _fit = self.metrics.timer("features.fit").start();
-        let docs: Vec<&PreparedDoc> = docs.into_iter().collect();
-        let (word_builder, char_builder) = self.accumulate(&docs, |doc, wb, cb| {
-            wb.add_doc_counts(&count_terms(word_ngrams_up_to(
-                &doc.words,
-                self.config.max_word_n,
-            )));
-            cb.add_doc_counts(&count_terms(char_ngrams_up_to(
-                &doc.char_text,
-                self.config.max_char_n,
-            )));
-        });
-        let word_vocab = word_builder.select_top(self.config.top_word_ngrams);
-        let char_vocab = char_builder.select_top(self.config.top_char_ngrams);
-        self.finish_space(word_vocab, char_vocab)
-    }
-
-    /// The map-reduce core of both fit paths: each worker accumulates a
+    /// The map-reduce core of the fit: each worker accumulates a
     /// private pair of [`VocabBuilder`]s over its contiguous document
     /// shard, and the shards are merged serially in shard order. Term
     /// totals, document frequencies, and document counts all sum, and
@@ -421,8 +392,10 @@ impl FeatureExtractor {
         (word_builder, char_builder)
     }
 
-    /// Fits from precomputed [`CountedDoc`]s. The counts must have been
-    /// produced with n-gram maxima at least as large as this config's
+    /// Fits the vocabularies and IDF weights on precomputed
+    /// [`CountedDoc`]s (the paper fits on the *known* author set, then
+    /// vectorizes knowns and unknowns in that space). The counts must have
+    /// been produced with n-gram maxima at least as large as this config's
     /// (counting at larger maxima only adds longer grams, which simply
     /// compete in the frequency ranking exactly as the paper's do).
     pub fn fit_counted<'a, I>(&self, docs: I) -> FeatureSpace
@@ -511,21 +484,10 @@ impl FeatureSpace {
         self.char_vocab.len()
     }
 
-    /// Vectorizes a document (optionally with its activity profile) into
-    /// the unit-norm concatenated feature vector. With
+    /// Vectorizes a precounted document (optionally with its activity
+    /// profile) into the unit-norm concatenated feature vector. With
     /// `activity_weight == 0` or `activity == None` the activity block is
     /// all zeros.
-    pub fn vectorize(
-        &self,
-        doc: &PreparedDoc,
-        activity: Option<&DailyActivityProfile>,
-    ) -> SparseVector {
-        let counted =
-            CountedDoc::from_prepared(doc, self.config.max_word_n, self.config.max_char_n);
-        self.vectorize_counted(&counted, activity)
-    }
-
-    /// Vectorizes a precounted document; see [`FeatureSpace::vectorize`].
     pub fn vectorize_counted(
         &self,
         doc: &CountedDoc,
@@ -590,6 +552,10 @@ mod tests {
         PreparedDoc::prepare(text, Some(&l))
     }
 
+    fn counted(text: &str) -> CountedDoc {
+        CountedDoc::from_prepared(&prep(text), 3, 5)
+    }
+
     fn profile(hour: usize) -> DailyActivityProfile {
         let mut counts = [0u32; HOURS];
         counts[hour] = 10;
@@ -623,82 +589,85 @@ mod tests {
     #[test]
     fn vectors_are_unit_norm() {
         let docs = [
-            prep("i always ship with tracking and stealth is great"),
-            prep("never had a problem with this vendor, top quality"),
+            counted("i always ship with tracking and stealth is great"),
+            counted("never had a problem with this vendor, top quality"),
         ];
-        let space = FeatureExtractor::new(FeatureConfig::space_reduction()).fit(&docs);
-        let v = space.vectorize(&docs[0], Some(&profile(9)));
+        let space = FeatureExtractor::new(FeatureConfig::space_reduction()).fit_counted(&docs);
+        let v = space.vectorize_counted(&docs[0], Some(&profile(9)));
         assert!((v.norm() - 1.0).abs() < 1e-5);
         assert!(v.nnz() > 0);
     }
 
     #[test]
     fn same_doc_has_cosine_one() {
-        let docs = [prep("repeat the very same words again and again")];
-        let space = FeatureExtractor::new(FeatureConfig::final_stage()).fit(&docs);
-        let a = space.vectorize(&docs[0], Some(&profile(10)));
-        let b = space.vectorize(&docs[0], Some(&profile(10)));
+        let docs = [counted("repeat the very same words again and again")];
+        let space = FeatureExtractor::new(FeatureConfig::final_stage()).fit_counted(&docs);
+        let a = space.vectorize_counted(&docs[0], Some(&profile(10)));
+        let b = space.vectorize_counted(&docs[0], Some(&profile(10)));
         assert!((a.cosine(&b) - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn similar_docs_score_higher_than_dissimilar() {
         let docs = [
-            prep("i love psychedelic mushrooms and trip reports from the garden"),
-            prep("i love psychedelic mushrooms and reading trip reports here"),
-            prep("bitcoin fees are insane today the mempool is backed up badly"),
+            counted("i love psychedelic mushrooms and trip reports from the garden"),
+            counted("i love psychedelic mushrooms and reading trip reports here"),
+            counted("bitcoin fees are insane today the mempool is backed up badly"),
         ];
-        let space = FeatureExtractor::new(FeatureConfig::space_reduction()).fit(&docs);
-        let v: Vec<SparseVector> = docs.iter().map(|d| space.vectorize(d, None)).collect();
+        let space = FeatureExtractor::new(FeatureConfig::space_reduction()).fit_counted(&docs);
+        let v: Vec<SparseVector> = docs
+            .iter()
+            .map(|d| space.vectorize_counted(d, None))
+            .collect();
         assert!(v[0].cosine(&v[1]) > v[0].cosine(&v[2]));
     }
 
     #[test]
     fn activity_block_influences_similarity() {
         let docs = [
-            prep("completely different words about one topic entirely"),
-            prep("utterly distinct vocabulary concerning another theme"),
+            counted("completely different words about one topic entirely"),
+            counted("utterly distinct vocabulary concerning another theme"),
         ];
-        let space = FeatureExtractor::new(FeatureConfig::space_reduction()).fit(&docs);
+        let space = FeatureExtractor::new(FeatureConfig::space_reduction()).fit_counted(&docs);
         let same_hours = space
-            .vectorize(&docs[0], Some(&profile(9)))
-            .cosine(&space.vectorize(&docs[1], Some(&profile(9))));
+            .vectorize_counted(&docs[0], Some(&profile(9)))
+            .cosine(&space.vectorize_counted(&docs[1], Some(&profile(9))));
         let diff_hours = space
-            .vectorize(&docs[0], Some(&profile(9)))
-            .cosine(&space.vectorize(&docs[1], Some(&profile(21))));
+            .vectorize_counted(&docs[0], Some(&profile(9)))
+            .cosine(&space.vectorize_counted(&docs[1], Some(&profile(21))));
         assert!(same_hours > diff_hours);
     }
 
     #[test]
     fn without_activity_ignores_profile() {
-        let docs = [prep("text that stays exactly the same every time here")];
+        let docs = [counted("text that stays exactly the same every time here")];
         let cfg = FeatureConfig::space_reduction().without_activity();
-        let space = FeatureExtractor::new(cfg).fit(&docs);
-        let a = space.vectorize(&docs[0], Some(&profile(3)));
-        let b = space.vectorize(&docs[0], Some(&profile(15)));
+        let space = FeatureExtractor::new(cfg).fit_counted(&docs);
+        let a = space.vectorize_counted(&docs[0], Some(&profile(3)));
+        let b = space.vectorize_counted(&docs[0], Some(&profile(15)));
         assert!((a.cosine(&b) - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn refit_on_subset_changes_space() {
-        let docs: Vec<PreparedDoc> = [
+        let docs: Vec<CountedDoc> = [
             "alpha beta gamma delta epsilon zeta",
             "alpha beta gamma something else entirely",
             "unrelated words that share nothing at all",
         ]
         .iter()
-        .map(|s| prep(s))
+        .map(|s| counted(s))
         .collect();
-        let full = FeatureExtractor::new(FeatureConfig::space_reduction()).fit(&docs);
-        let sub = FeatureExtractor::new(FeatureConfig::final_stage()).fit(&docs[..2]);
+        let full = FeatureExtractor::new(FeatureConfig::space_reduction()).fit_counted(&docs);
+        let sub = FeatureExtractor::new(FeatureConfig::final_stage()).fit_counted(&docs[..2]);
         // The subset space reflects only the two first docs' vocabulary.
         assert!(sub.word_vocab_len() < full.word_vocab_len());
     }
 
     #[test]
     fn dims_account_for_all_blocks() {
-        let docs = [prep("just a few words to fit on")];
-        let space = FeatureExtractor::new(FeatureConfig::space_reduction()).fit(&docs);
+        let docs = [counted("just a few words to fit on")];
+        let space = FeatureExtractor::new(FeatureConfig::space_reduction()).fit_counted(&docs);
         assert_eq!(
             space.dim(),
             space.word_vocab_len() + space.char_vocab_len() + NUM_SLOTS + HOURS
@@ -709,13 +678,13 @@ mod tests {
     fn metrics_capture_fit_shape_and_vector_activity() {
         let metrics = PipelineMetrics::enabled();
         let docs = [
-            prep("some words to fit the space on"),
-            prep("other words for the second document"),
+            counted("some words to fit the space on"),
+            counted("other words for the second document"),
         ];
         let space = FeatureExtractor::new(FeatureConfig::space_reduction())
             .with_metrics(metrics.clone())
-            .fit(&docs);
-        let v = space.vectorize(&docs[0], None);
+            .fit_counted(&docs);
+        let v = space.vectorize_counted(&docs[0], None);
         assert_eq!(metrics.counter("features.fits").get(), 1);
         assert_eq!(metrics.timer("features.fit").count(), 1);
         assert_eq!(metrics.gauge("features.dim").get() as usize, space.dim());
@@ -737,40 +706,31 @@ mod tests {
             "beta gamma delta words appearing again and again",
             "a fifth document so shards stay ragged on two threads",
         ];
-        let docs: Vec<PreparedDoc> = texts.iter().map(|t| prep(t)).collect();
-        let counted: Vec<CountedDoc> = docs
-            .iter()
-            .map(|d| CountedDoc::from_prepared(d, 3, 5))
-            .collect();
+        let docs: Vec<CountedDoc> = texts.iter().map(|t| counted(t)).collect();
         let cfg = FeatureConfig::space_reduction();
-        let serial = FeatureExtractor::new(cfg.clone()).fit_counted(&counted);
+        let serial = FeatureExtractor::new(cfg.clone()).fit_counted(&docs);
         for threads in [2, 3, 7] {
             let par = FeatureExtractor::new(cfg.clone())
                 .with_threads(threads)
-                .fit_counted(&counted);
+                .fit_counted(&docs);
             assert_eq!(par.dim(), serial.dim(), "threads = {threads}");
             // Identical vocabularies ⇒ identical vectors for any doc.
-            for (d, c) in docs.iter().zip(&counted) {
+            for (i, c) in docs.iter().enumerate() {
                 let a = serial.vectorize_counted(c, None);
                 let b = par.vectorize_counted(c, None);
-                assert!((a.cosine(&b) - 1.0).abs() < 1e-9, "doc {:?}", d.words());
+                assert!((a.cosine(&b) - 1.0).abs() < 1e-9, "doc {i}");
             }
-            // And the prepared-doc fit path agrees too.
-            let par_fit = FeatureExtractor::new(cfg.clone())
-                .with_threads(threads)
-                .fit(&docs);
-            assert_eq!(par_fit.dim(), serial.dim());
         }
     }
 
     #[test]
     fn from_parts_rebuilds_a_bit_identical_space() {
         let docs = [
-            prep("i always ship with tracking and stealth is great"),
-            prep("never had a problem with this vendor, top quality"),
-            prep("bitcoin fees are insane today the mempool is backed up"),
+            counted("i always ship with tracking and stealth is great"),
+            counted("never had a problem with this vendor, top quality"),
+            counted("bitcoin fees are insane today the mempool is backed up"),
         ];
-        let space = FeatureExtractor::new(FeatureConfig::space_reduction()).fit(&docs);
+        let space = FeatureExtractor::new(FeatureConfig::space_reduction()).fit_counted(&docs);
         let rebuilt = FeatureSpace::from_parts(
             space.config().clone(),
             space.word_vocab().clone(),
@@ -778,8 +738,8 @@ mod tests {
         );
         assert_eq!(rebuilt.dim(), space.dim());
         for d in &docs {
-            let a = space.vectorize(d, Some(&profile(9)));
-            let b = rebuilt.vectorize(d, Some(&profile(9)));
+            let a = space.vectorize_counted(d, Some(&profile(9)));
+            let b = rebuilt.vectorize_counted(d, Some(&profile(9)));
             assert_eq!(a.nnz(), b.nnz());
             for ((ia, va), (ib, vb)) in a.iter().zip(b.iter()) {
                 assert_eq!(ia, ib);

@@ -1,7 +1,7 @@
 //! Property-based tests for the feature substrate.
 
 use darklight_features::ngram::{char_ngrams_free_space, char_ngrams_up_to, word_ngrams_up_to};
-use darklight_features::pipeline::{FeatureConfig, FeatureExtractor, PreparedDoc};
+use darklight_features::pipeline::{CountedDoc, FeatureConfig, FeatureExtractor, PreparedDoc};
 use darklight_features::sparse::SparseVector;
 use darklight_features::vocab::{count_terms, VocabBuilder};
 use proptest::prelude::*;
@@ -103,11 +103,14 @@ proptest! {
     /// Pipeline vectors are unit-norm and vectorization is deterministic.
     #[test]
     fn pipeline_vectors_unit_and_deterministic(texts in proptest::collection::vec("[a-z !.,]{10,80}", 2..5)) {
-        let docs: Vec<PreparedDoc> = texts.iter().map(|t| PreparedDoc::prepare(t, None)).collect();
-        let space = FeatureExtractor::new(FeatureConfig::space_reduction()).fit(&docs);
+        let docs: Vec<CountedDoc> = texts
+            .iter()
+            .map(|t| CountedDoc::from_prepared(&PreparedDoc::prepare(t, None), 3, 5))
+            .collect();
+        let space = FeatureExtractor::new(FeatureConfig::space_reduction()).fit_counted(&docs);
         for d in &docs {
-            let v1 = space.vectorize(d, None);
-            let v2 = space.vectorize(d, None);
+            let v1 = space.vectorize_counted(d, None);
+            let v2 = space.vectorize_counted(d, None);
             prop_assert_eq!(&v1, &v2);
             if !v1.is_empty() {
                 prop_assert!((v1.norm() - 1.0).abs() < 1e-4);

@@ -58,11 +58,6 @@ impl Writer {
         self.put_u32(v.to_bits());
     }
 
-    /// Appends an `f64` as its raw bit pattern.
-    pub fn put_f64_bits(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
     /// Appends raw bytes with a `u64` length prefix.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
@@ -151,15 +146,6 @@ impl<'a> Reader<'a> {
         Ok(f32::from_bits(self.get_u32()?))
     }
 
-    /// Reads an `f64` from its raw bit pattern.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Malformed`] when fewer than 8 bytes remain.
-    pub fn get_f64_bits(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
     /// Reads a `u64`-length-prefixed byte string.
     ///
     /// # Errors
@@ -234,7 +220,6 @@ mod tests {
         w.put_u32(0xdead_beef);
         w.put_u64(u64::MAX - 1);
         w.put_f32_bits(-0.0);
-        w.put_f64_bits(f64::NAN);
         w.put_str("époch");
         w.put_bytes(&[1, 2, 3]);
         let bytes = w.into_bytes();
@@ -243,7 +228,6 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_f32_bits().unwrap().to_bits(), (-0.0f32).to_bits());
-        assert_eq!(r.get_f64_bits().unwrap().to_bits(), f64::NAN.to_bits());
         assert_eq!(r.get_str().unwrap(), "époch");
         assert_eq!(r.get_bytes().unwrap(), &[1, 2, 3]);
         r.expect_end().unwrap();

@@ -27,11 +27,11 @@
 //! each payload is checksummed before it is handed to a decoder. Loads
 //! return typed errors on every corruption; nothing panics.
 //!
-//! Writing goes through the one durable-write path,
-//! [`write_durable`](crate::durable::write_durable), instrumented with
-//! the `DARKLIGHT_FAULT_IO` hooks at two sites: `store.write_artifact`
-//! (transient errors and `trunc:`/`flip:` byte corruption) and
-//! `store.publish_rename` (a crash between tmp write and rename).
+//! Writing goes through the one durable-write path, [`write_durable`],
+//! instrumented with the `DARKLIGHT_FAULT_IO` hooks at two sites:
+//! `store.write_artifact` (transient errors and `trunc:`/`flip:` byte
+//! corruption) and `store.publish_rename` (a crash between tmp write and
+//! rename).
 
 use std::fs;
 use std::path::Path;

@@ -289,6 +289,43 @@ fn lenient_loads_dirty_corpus_that_strict_refuses() {
 }
 
 #[test]
+fn lenient_stats_reads_past_a_line_that_is_not_utf8() {
+    let dir = temp_dir("lenient_utf8");
+    let corpus = dir.join("mixed.tsv");
+    let mut data = b"#darklight-corpus v1 mixed\nU\talice\t1\n".to_vec();
+    data.extend_from_slice(b"P\t1486375200\tmisc\thello from alice\n");
+    data.extend_from_slice(b"P\t1486375260\tmisc\tbroken \xff byte\n");
+    data.extend_from_slice(b"U\tbob\t2\n");
+    for i in 0..40 {
+        data.extend_from_slice(format!("P\t{}\tmisc\tbob post {i}\n", 1486375300 + i).as_bytes());
+    }
+    std::fs::write(&corpus, data).unwrap();
+    let strict = bin()
+        .args(["stats", corpus.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(strict.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&strict.stderr);
+    assert!(stderr.contains("line 4"), "{stderr}");
+    let lenient = bin()
+        .args(["stats", corpus.to_str().unwrap(), "--lenient"])
+        .output()
+        .unwrap();
+    assert_eq!(
+        lenient.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&lenient.stderr)
+    );
+    let stderr = String::from_utf8_lossy(&lenient.stderr);
+    assert!(stderr.contains("quarantined 1 of 45 line(s)"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&lenient.stdout);
+    assert!(stdout.contains("users:   2"), "{stdout}");
+    assert!(stdout.contains("posts:   41"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn link_with_checkpoint_succeeds_and_cleans_up() {
     let dir = temp_dir("ckpt");
     bin()
